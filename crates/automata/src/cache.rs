@@ -252,8 +252,19 @@ mod tests {
 
     // the cache is process-global and tests run concurrently, so assertions
     // are phrased in deltas over the entries this test touches
+    /// Serialises the tests that use the pattern-keyed store: the poisoning
+    /// test's recovery clears that store, and a concurrent lookup from
+    /// another test would otherwise recover the poisoned lock first.
+    fn compiled_store() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn repeated_lookups_share_one_automaton() {
+        let _serial = compiled_store();
         let a = compile_cached("(ab)*cache-test").unwrap();
         let b = compile_cached("(ab)*cache-test").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -270,6 +281,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_reported_not_cached() {
+        let _serial = compiled_store();
         assert!(compile_cached("(unclosed").is_err());
         assert!(prepared_cached("(unclosed").is_err());
     }
@@ -293,6 +305,7 @@ mod tests {
 
     #[test]
     fn stats_move_on_misses_and_hits() {
+        let _serial = compiled_store();
         let before = stats();
         let _ = compile_cached("stats-test-pattern-x");
         let mid = stats().since(before);
@@ -306,6 +319,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_recovers_and_cache_keeps_serving() {
+        let _serial = compiled_store();
         // prime the cache, then kill a thread while it holds the lock —
         // exactly what a crashed portfolio lane does mid-lookup
         let _ = compile_cached("(xy)+poison-test").unwrap();
@@ -332,6 +346,7 @@ mod tests {
 
     #[test]
     fn scoped_counters_attribute_lookups_to_the_attaching_thread() {
+        let _serial = compiled_store();
         let scope = posr_obs::CounterScope::new();
         {
             let _attached = scope.attach();

@@ -192,15 +192,30 @@ impl Regex {
     }
 }
 
+/// Characters that stand for themselves only when escaped outside a class.
+const METACHARACTERS: &str = "\\()|*+?{[].";
+
+/// Prints text that [`Regex::parse`] reads back as the same language: ε as
+/// `()`, ∅ as the empty class `[]`, and metacharacter literals escaped.
 impl fmt::Display for Regex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Regex::Empty => write!(f, "∅"),
-            Regex::Epsilon => write!(f, "ε"),
+            Regex::Empty => write!(f, "[]"),
+            Regex::Epsilon => write!(f, "()"),
+            Regex::Literal(c) if METACHARACTERS.contains(*c) => write!(f, "\\{c}"),
             Regex::Literal(c) => write!(f, "{c}"),
             Regex::Class(chars) => {
                 write!(f, "[")?;
-                for c in chars {
+                for (i, &c) in chars.iter().enumerate() {
+                    // inside a class only `\` and `]` are always special; a
+                    // leading `^` negates and an inner `-` forms a range
+                    let special = c == '\\'
+                        || c == ']'
+                        || (c == '^' && i == 0)
+                        || (c == '-' && i > 0 && i + 1 < chars.len());
+                    if special {
+                        write!(f, "\\")?;
+                    }
                     write!(f, "{c}")?;
                 }
                 write!(f, "]")
@@ -535,6 +550,95 @@ mod tests {
         let b = reparsed.compile();
         for w in ["ababc", "c", "dd", "ddd", "dddd", "ab"] {
             assert_eq!(a.accepts_str(w), b.accepts_str(w), "word {w:?}");
+        }
+    }
+
+    #[test]
+    fn display_prints_epsilon_empty_and_metacharacters_parseably() {
+        let eps_or_b = Regex::Alt(Box::new(Regex::Epsilon), Box::new(Regex::Literal('b')));
+        let cases = [
+            (Regex::Epsilon, "()"),
+            (Regex::Empty, "[]"),
+            (
+                Regex::Concat(Box::new(Regex::Literal('a')), Box::new(Regex::Literal('*'))),
+                "a\\*",
+            ),
+            (
+                Regex::Concat(Box::new(Regex::Literal('a')), Box::new(eps_or_b)),
+                "a(()|b)",
+            ),
+            (Regex::Class(vec!['^', 'a', '-', 'z', ']']), "[\\^a\\-z\\]]"),
+        ];
+        for (re, printed) in cases {
+            assert_eq!(re.to_string(), printed);
+            assert!(Regex::parse(printed).is_ok(), "{printed} must parse");
+        }
+    }
+
+    /// A random regex over letters that include every metacharacter, the
+    /// characters `ε` and `∅`, and the class-special `^` and `-`.
+    fn random_regex(rng: &mut rand::rngs::StdRng, depth: usize) -> Regex {
+        use rand::Rng;
+        const LETTERS: [char; 18] = [
+            'a', 'b', '\\', '(', ')', '|', '*', '+', '?', '{', '}', '[', ']', '.', '^', '-', 'ε',
+            '∅',
+        ];
+        let letter = |rng: &mut rand::rngs::StdRng| LETTERS[rng.gen_range(0..LETTERS.len())];
+        let leaf = depth == 0 || rng.gen_bool(0.3);
+        let boxed = |rng: &mut rand::rngs::StdRng| Box::new(random_regex(rng, depth - 1));
+        match (leaf, rng.gen_range(0..7usize)) {
+            (true, 0) => Regex::Epsilon,
+            (true, 1) => Regex::Empty,
+            (true, 2) => Regex::Class((0..rng.gen_range(0..4usize)).map(|_| letter(rng)).collect()),
+            (true, _) => Regex::Literal(letter(rng)),
+            (false, 0 | 1) => Regex::Concat(boxed(rng), boxed(rng)),
+            (false, 2) => Regex::Alt(boxed(rng), boxed(rng)),
+            (false, 3) => Regex::Star(boxed(rng)),
+            (false, 4) => Regex::Plus(boxed(rng)),
+            (false, 5) => Regex::Opt(boxed(rng)),
+            (false, _) => {
+                let lo = rng.gen_range(0..3usize);
+                let hi = rng.gen_bool(0.5).then(|| lo + rng.gen_range(0..2usize));
+                Regex::Repeat(boxed(rng), lo, hi)
+            }
+        }
+    }
+
+    /// Every word of length at most `max_len` over `alphabet`.
+    fn words_up_to(alphabet: &[char], max_len: usize) -> Vec<String> {
+        let mut all = vec![String::new()];
+        let mut frontier = vec![String::new()];
+        for _ in 0..max_len {
+            frontier = frontier
+                .iter()
+                .flat_map(|w| alphabet.iter().map(move |&c| format!("{w}{c}")))
+                .collect();
+            all.extend(frontier.iter().cloned());
+        }
+        all
+    }
+
+    #[test]
+    fn display_reparses_to_the_same_language() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_4E6E);
+        for _ in 0..300 {
+            let re = random_regex(&mut rng, 3);
+            let printed = re.to_string();
+            let reparsed = Regex::parse(&printed)
+                .unwrap_or_else(|e| panic!("{printed:?} (from {re:?}) does not parse: {e}"));
+            // the regex's own letters plus one the `.` class would match
+            let mut alphabet: Vec<char> = printed.chars().chain(['a']).collect();
+            alphabet.sort_unstable();
+            alphabet.dedup();
+            let (a, b) = (re.compile(), reparsed.compile());
+            for word in words_up_to(&alphabet, 4) {
+                assert_eq!(
+                    a.accepts_str(&word),
+                    b.accepts_str(&word),
+                    "{re:?} printed as {printed:?} disagrees on {word:?}"
+                );
+            }
         }
     }
 }

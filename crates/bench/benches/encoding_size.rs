@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use posr_lia::term::VarPool;
+use posr_lia::CancelToken;
 use posr_tagauto::cache::prepared_automata;
 use posr_tagauto::system::{PositionConstraint, SystemEncoder};
 use posr_tagauto::system_naive::encode_naive;
@@ -43,7 +44,9 @@ fn bench_encoding(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive-order", k), &constraints, |b, cs| {
             b.iter(|| {
                 let mut pool = VarPool::new();
-                encode_naive(cs, &automata, &vars, &mut pool).total_formula_size
+                encode_naive(cs, &automata, &vars, &mut pool, &CancelToken::none())
+                    .expect("never cancelled")
+                    .total_formula_size
             })
         });
     }

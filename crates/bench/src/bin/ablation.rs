@@ -1,11 +1,12 @@
 //! Ablation experiments: encoding sizes of the polynomial copy-tag
 //! construction vs. the naive mismatch-order enumeration, the PTime
 //! one-counter procedure vs. the LIA encoding for a single disequality,
-//! the CDCL(T) vs. structural LIA engine comparison on the flagship
-//! instance set, and the incremental-vs-scratch CEGAR comparison on the
-//! tag-encoding instances.
+//! the CDCL(T) verdicts on the flagship instance set, and the
+//! incremental-vs-scratch CEGAR comparison on the tag-encoding instances
+//! (the scratch side is this binary's own driver; the product always runs
+//! the incremental session).
 //!
-//! The engine comparison and the CEGAR comparison double as the CI smoke
+//! The flagship run and the CEGAR comparison double as the CI smoke
 //! gates: the binary exits non-zero unless (a) the CDCL engine decides
 //! every flagship instance with the expected verdict, (b) the incremental
 //! and scratch CEGAR drivers agree on every round's verdict, and (c) every
@@ -23,7 +24,7 @@ use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::solver::{answer_status, SolverOptions, StringSolver};
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig, SolverResult};
+use posr_lia::solver::{Solver, SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, VarPool};
 use posr_tagauto::diseq_simple::encode_simple_diseq;
 use posr_tagauto::onecounter_diseq::single_diseq_satisfiable;
@@ -31,7 +32,7 @@ use posr_tagauto::system::{PositionConstraint, SystemEncoder, SystemEncoding};
 use posr_tagauto::system_naive::encode_naive;
 use posr_tagauto::tags::VarTable;
 
-/// Per-instance wall clock of the engine comparison.
+/// Per-instance wall clock of the flagship solves.
 const ENGINE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The flagship instance set: the loopy diseq+length family the CDCL(T)
@@ -96,7 +97,7 @@ fn flagship_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
 /// equal-length constraint over two such variables drives the tag
 /// encoding through a product on the order of `n²` states — the regime
 /// where the occurrence-indexed sparse rows pay off over dense scans.
-/// Kept out of [`flagship_instances`] so the engine comparison and the
+/// Kept out of [`flagship_instances`] so the flagship gate and the
 /// tracing-overhead guard stay fast.
 fn big_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
     // an n-state cycle: exactly one word per accepted length (multiples
@@ -134,38 +135,33 @@ fn big_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
     ]
 }
 
-fn solve_with_engine(formula: &StringFormula, engine: SearchEngine) -> (&'static str, Duration) {
+/// One production solve of a flagship instance: its status and wall time.
+fn solve_flagship(formula: &StringFormula) -> (&'static str, Duration) {
     let start = Instant::now();
-    let mut options = SolverOptions {
+    let options = SolverOptions {
         deadline: Some(start + ENGINE_TIMEOUT),
         ..SolverOptions::default()
     };
-    options.position.lia.engine = engine;
     let answer = StringSolver::with_options(options).solve(formula);
     (answer_status(&answer), start.elapsed())
 }
 
-/// Runs the engine comparison; returns the markdown report and whether the
+/// Runs the flagship set; returns the markdown report and whether the
 /// CDCL engine got every expected verdict.
-fn engine_comparison() -> (String, bool) {
+fn flagship_verdicts() -> (String, bool) {
     let mut report = String::new();
-    let _ = writeln!(report, "# Engine comparison: CDCL(T) vs structural DPLL(T)");
+    let _ = writeln!(report, "# Flagship verdicts: CDCL(T)");
     let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "| instance | expected | cdcl | cdcl time | structural | structural time |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|");
+    let _ = writeln!(report, "| instance | expected | cdcl | cdcl time |");
+    let _ = writeln!(report, "|---|---|---|---|");
     let mut all_ok = true;
     for (name, formula, expected) in flagship_instances() {
-        let (cdcl_status, cdcl_time) = solve_with_engine(&formula, SearchEngine::Cdcl);
-        let (structural_status, structural_time) =
-            solve_with_engine(&formula, SearchEngine::Structural);
+        let (cdcl_status, cdcl_time) = solve_flagship(&formula);
         let ok = cdcl_status == expected;
         all_ok &= ok;
         let _ = writeln!(
             report,
-            "| {name} | {expected} | {cdcl_status}{} | {cdcl_time:.2?} | {structural_status} | {structural_time:.2?} |",
+            "| {name} | {expected} | {cdcl_status}{} | {cdcl_time:.2?} |",
             if ok { "" } else { " ❌" },
         );
     }
@@ -558,7 +554,7 @@ fn tracing_overhead() -> OverheadGuard {
     fn flagship_wall() -> f64 {
         let mut total = Duration::ZERO;
         for (_, formula, _) in flagship_instances() {
-            let (_, elapsed) = solve_with_engine(&formula, SearchEngine::Cdcl);
+            let (_, elapsed) = solve_flagship(&formula);
             total += elapsed;
         }
         total.as_secs_f64()
@@ -703,9 +699,9 @@ fn matched_flow_pairs(tracks: &[posr_obs::TrackSnapshot]) -> usize {
 /// the full theory side (incremental tableau + theory propagation +
 /// assignment-guided scans) and under the baseline with all three engine
 /// switches off — the PR-4 behaviour of the engine's theory hot paths
-/// (the shared branch-and-bound and structural-engine internals are not
-/// switchable) — with wall time, conflicts, theory checks, propagated
-/// theory literals, simplex pivots, and row touches.  Returns the JSON
+/// (the shared branch-and-bound internals are not switchable) — with wall
+/// time, conflicts, theory checks, propagated theory literals, simplex
+/// pivots, and row touches.  Returns the JSON
 /// document, a human-readable table, and the gate verdict:
 ///
 /// * both configurations must agree on every family's verdict (and match
@@ -964,7 +960,14 @@ fn main() {
         let poly_size = polynomial.formula.size();
         if k <= 2 {
             let mut pool2 = VarPool::new();
-            let naive = encode_naive(&constraints, &automata, &vars, &mut pool2);
+            let naive = encode_naive(
+                &constraints,
+                &automata,
+                &vars,
+                &mut pool2,
+                &posr_lia::CancelToken::none(),
+            )
+            .expect("never cancelled");
             println!(
                 "K={k}: polynomial formula size {poly_size:>8}, naive ({} orders) total size {:>10}",
                 naive.per_order.len(),
@@ -1004,8 +1007,8 @@ fn main() {
     }
 
     println!();
-    println!("== LIA engine comparison on the flagship instance set ==");
-    let (report, all_ok) = engine_comparison();
+    println!("== CDCL(T) verdicts on the flagship instance set ==");
+    let (report, all_ok) = flagship_verdicts();
     println!("{report}");
     let path = std::env::var("POSR_ABLATION_REPORT")
         .unwrap_or_else(|_| "target/ablation-report.md".to_string());

@@ -1,7 +1,7 @@
 //! Seeded differential smoke-fuzzing for CI: random LIA formulas from the
 //! same xorshift generator family as the engine differential suite, solved
-//! by both search engines, with every certified Unsat replayed through the
-//! independent `posr-check` verifier.
+//! by the CDCL(T) engine and the structural DPLL(T) oracle, with every
+//! certified Unsat replayed through the independent `posr-check` verifier.
 //!
 //! The run is time-boxed (`POSR_FUZZ_SECONDS`, default 300 — the per-PR
 //! smoke budget; the nightly dispatch passes a longer one) and seeded
@@ -19,9 +19,11 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use posr_lia::cancel::CancelToken;
 use posr_lia::cdcl::solve_cdcl_with_proof;
 use posr_lia::formula::{Atom, Cmp, Formula};
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig, SolverResult};
+use posr_lia::oracle::{structural_solve, MAX_DECISIONS};
+use posr_lia::solver::{SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 
 struct Rng(u64);
@@ -112,10 +114,6 @@ fn main() {
 
     let mut pool = VarPool::new();
     let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("v{i}"))).collect();
-    let structural = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Structural,
-        ..SolverConfig::default()
-    });
     let proving = SolverConfig {
         proof_logging: true,
         ..SolverConfig::default()
@@ -140,7 +138,7 @@ fn main() {
         let f = Formula::and(parts).nnf().simplify();
 
         let (rc, proof) = solve_cdcl_with_proof(&f, &proving);
-        let rs = structural.solve(&f);
+        let rs = structural_solve(&f, MAX_DECISIONS, &CancelToken::none());
         match (&rs, &rc) {
             (SolverResult::Sat(ms), SolverResult::Sat(mc)) => {
                 sat += 1;

@@ -213,7 +213,10 @@ impl BaselineSolver for NaiveOrderSolver {
                 return Answer::Unknown("too many constraints for order enumeration".to_string());
             }
             let mut pool = VarPool::new();
-            let naive = encode_naive(&constraints, &automata, &vars, &mut pool);
+            let Some(naive) = encode_naive(&constraints, &automata, &vars, &mut pool, cancel)
+            else {
+                return Answer::Unknown(cancel.unknown_reason());
+            };
             match solve_naive(&naive, &Formula::True, &lia_with_cancel(cancel)) {
                 posr_lia::solver::SolverResult::Sat(_) => {
                     // the naive baseline does not reconstruct models; report
@@ -222,10 +225,10 @@ impl BaselineSolver for NaiveOrderSolver {
                     return Answer::Sat(StringModel::default());
                 }
                 posr_lia::solver::SolverResult::Unsat => {}
-                posr_lia::solver::SolverResult::Unknown(r) => {
-                    saw_unknown = true;
-                    let _ = r;
+                posr_lia::solver::SolverResult::Unknown(_) if cancel.is_cancelled() => {
+                    return Answer::Unknown(cancel.unknown_reason());
                 }
+                posr_lia::solver::SolverResult::Unknown(_) => saw_unknown = true,
             }
         }
         if saw_unknown {

@@ -1,8 +1,8 @@
 //! An iterative CDCL(T) search engine for quantifier-free LIA.
 //!
 //! This is the clause-learning successor of the recursive "structural
-//! DPLL(T)" in [`crate::solver`] (which is kept as a differential-testing
-//! oracle).  The formula is clausified by [`crate::cnf`] into an
+//! DPLL(T)" walk in [`crate::oracle`] (which is kept as a
+//! differential-testing oracle).  The formula is clausified by [`crate::cnf`] into an
 //! atom-indexed clause database; the search is the standard modern loop:
 //!
 //! * an **assignment trail** with decision levels and reason clauses,
@@ -59,7 +59,7 @@
 //!   feasibility on its own push/pop tableau; integer-only conflicts are
 //!   explained by budgeted deletion minimisation and learned.
 //!
-//! Soundness matches the structural engine: `Sat` carries a model the
+//! Soundness matches the structural walk: `Sat` carries a model the
 //! caller can re-validate, `Unsat` is only reported when the search space
 //! was exhausted without any resource-out — and, in a persistent session,
 //! only while no search-heuristic blocking clause was ever learned (a

@@ -13,13 +13,13 @@
 //! * [`simplex`] — the **incremental Dutertre–de Moura simplex**: a
 //!   persistent, backtrackable tableau ([`simplex::IncrementalSimplex`])
 //!   with one-time atom registration, O(1) bound assertions, warm-started
-//!   pivoting and Farkas-style infeasibility cores (one-shot and
-//!   prefix-sharing session wrappers included),
+//!   pivoting and Farkas-style infeasibility cores (one-shot wrappers
+//!   included),
 //! * [`intfeas`] — integer feasibility by branch-and-bound on one
 //!   push/pop tableau, pruned per node by incremental interval
 //!   propagation and the divisibility test, with sound resource limits,
 //! * [`bounds`] — interval (bound) propagation with integer rounding, the
-//!   cheap propagation layer of both search engines,
+//!   cheap propagation layer of the search,
 //! * [`cnf`] — clausification for the CDCL engine: structural hashing,
 //!   Plaisted–Greenbaum Tseitin encoding, half-space atom canonicalisation,
 //! * [`cdcl`] — the clause-learning **CDCL(T)** search engine (trail,
@@ -39,9 +39,11 @@
 //!   GCD/elimination refutation of parity-infeasible equality systems,
 //! * [`solver`] — the public satisfiability API for quantifier-free LIA
 //!   formulas with arbitrary Boolean structure (the stand-in for the LIA
-//!   backend of Z3 used by Z3-Noodler in the paper's implementation); the
-//!   [`solver::SearchEngine`] knob selects CDCL(T) (default) or the legacy
-//!   recursive structural DPLL(T) walk kept as a differential oracle.
+//!   backend of Z3 used by Z3-Noodler in the paper's implementation),
+//!   which always runs the CDCL(T) engine,
+//! * [`oracle`] — the recursive structural DPLL(T) walk that preceded the
+//!   CDCL(T) engine, kept only as an independent oracle for differential
+//!   tests and fuzzing; no solver configuration selects it.
 //!
 //! # The explanation interface
 //!
@@ -95,6 +97,7 @@ pub mod explain;
 pub mod formula;
 pub mod incremental;
 pub mod intfeas;
+pub mod oracle;
 pub mod proof;
 pub mod rational;
 pub mod simplex;
@@ -108,5 +111,5 @@ pub use formula::{Atom, Cmp, Formula};
 pub use incremental::IncrementalSolver;
 pub use proof::{CertKind, ProofBuilder, ProofStep};
 pub use rational::{catch_overflow, Rat, OVERFLOW_MSG, OVERFLOW_UNKNOWN};
-pub use solver::{Model, SearchEngine, Solver, SolverConfig, SolverResult};
+pub use solver::{Model, Solver, SolverConfig, SolverResult};
 pub use term::{LinExpr, Var, VarPool};

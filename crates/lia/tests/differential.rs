@@ -8,8 +8,10 @@
 //! of unit atoms, shallow disjunctions, disequalities, negations — plus
 //! parity-style scaled atoms that exercise the divisibility refutation.
 
+use posr_lia::cancel::CancelToken;
 use posr_lia::formula::{Cmp, Formula};
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig, SolverResult};
+use posr_lia::oracle::{structural_solve, MAX_DECISIONS};
+use posr_lia::solver::{Solver, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 
 /// A tiny deterministic xorshift generator: no external crates, stable
@@ -103,21 +105,15 @@ fn engines_agree_on_random_formulas() {
     let mut pool = VarPool::new();
     let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("v{i}"))).collect();
 
-    let structural = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Structural,
-        ..SolverConfig::default()
-    });
-    let cdcl = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Cdcl,
-        ..SolverConfig::default()
-    });
+    let structural = |f: &Formula| structural_solve(f, MAX_DECISIONS, &CancelToken::none());
+    let cdcl = Solver::new();
 
     let mut sat = 0usize;
     let mut unsat = 0usize;
     let mut unknown = 0usize;
     for round in 0..200 {
         let formula = boxed(&vars, random_formula(&mut rng, &vars, 3));
-        let rs = structural.solve(&formula);
+        let rs = structural(&formula);
         let rc = cdcl.solve(&formula);
         match (&rs, &rc) {
             (SolverResult::Sat(ms), SolverResult::Sat(mc)) => {
@@ -160,14 +156,8 @@ fn engines_agree_on_parity_families() {
     let x = pool.fresh("x");
     let y = pool.fresh("y");
     let z = pool.fresh("z");
-    let structural = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Structural,
-        ..SolverConfig::default()
-    });
-    let cdcl = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Cdcl,
-        ..SolverConfig::default()
-    });
+    let structural = |f: &Formula| structural_solve(f, MAX_DECISIONS, &CancelToken::none());
+    let cdcl = Solver::new();
     for k in 2..=5i128 {
         for c in 0..=3i128 {
             let formula = Formula::and(vec![
@@ -184,7 +174,7 @@ fn engines_agree_on_parity_families() {
                 Formula::le(LinExpr::var(x), LinExpr::constant(50)),
                 Formula::le(LinExpr::var(y), LinExpr::constant(50)),
             ]);
-            let rs = structural.solve(&formula);
+            let rs = structural(&formula);
             let rc = cdcl.solve(&formula);
             match (&rs, &rc) {
                 (SolverResult::Sat(ms), SolverResult::Sat(mc)) => {

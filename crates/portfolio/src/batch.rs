@@ -23,11 +23,6 @@ use crate::{run_isolated, PortfolioResult, PortfolioSolver, StrategyOutcome, Str
 /// host.
 const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
-/// The lane the retry pass pins: the structural-engine oracle, the most
-/// conservative full pipeline in the portfolio (plus the production lane
-/// the hint always keeps, see [`PortfolioSolver::solve_with`]).
-const RETRY_HINT: &str = "tag-pos";
-
 /// Distribution of per-item wall times (one full race each), µs.  Scoped:
 /// a batch's own percentiles come out of its `CounterScope`.
 static HIST_ITEM_WALL: std::sync::LazyLock<posr_obs::Histogram> =
@@ -131,8 +126,8 @@ pub struct BatchStats {
     /// crashed worker (the crash was absorbed; the item still has an
     /// outcome).
     pub crashed: usize,
-    /// Items re-run once on the structural-oracle lane after a crash or a
-    /// resource-out, with exponential backoff between retries.
+    /// Items left undecided by a crash and re-run once in the same race,
+    /// with exponential backoff between retries.
     pub retried: usize,
     /// Wins per strategy name.
     pub wins: std::collections::BTreeMap<&'static str, usize>,
@@ -233,25 +228,21 @@ pub fn solve_batch(
         })
         .collect();
 
-    // retry pass: an item whose race saw a crash (and still ended undecided)
-    // or ran out of a resource axis gets exactly one more chance, pinned to
-    // the structural-oracle lane, with exponential backoff between retries
+    // retry pass: an item whose race saw a crash and still ended undecided
+    // gets exactly one more chance in the same race (fault schedules differ
+    // per attempt, so a retry can succeed), with exponential backoff
+    // between retries
     let mut retried = 0usize;
-    for outcome in outcomes.iter_mut() {
+    for (item, outcome) in items.iter().zip(outcomes.iter_mut()) {
         if !wants_retry(&outcome.result) {
             continue;
         }
         retried += 1;
         std::thread::sleep(RETRY_BACKOFF.saturating_mul(1 << (retried - 1).min(6)));
         posr_obs::instant("batch", format!("batch.retry:{}", outcome.name));
-        let formula = items
-            .iter()
-            .find(|i| i.name == outcome.name)
-            .map(|i| &i.formula);
-        let Some(formula) = formula else { continue };
         let retry_start = Instant::now();
         let retry = run_isolated(&outcome.name, || {
-            portfolio.solve_with(formula, options.timeout, Some(RETRY_HINT))
+            portfolio.solve_with(&item.formula, options.timeout, item.hint.as_deref())
         });
         if let Ok(result) = retry {
             if matches!(result.answer, Answer::Sat(_) | Answer::Unsat) {
@@ -337,27 +328,13 @@ fn crashed_somewhere(result: &PortfolioResult) -> bool {
         .any(|r| matches!(r.outcome, StrategyOutcome::Crashed { .. }))
 }
 
-/// Resource-outs worth a second try: the per-item deadline or a budget axis.
-fn resource_out(answer: &Answer) -> bool {
-    match answer {
-        Answer::Unknown(reason) => {
-            reason.contains(posr_lia::cancel::DEADLINE_MSG)
-                || reason.contains(posr_obs::MEM_BUDGET_MSG)
-                || reason.contains(posr_obs::CONFLICT_BUDGET_MSG)
-        }
-        _ => false,
-    }
-}
-
-/// An item is retried when it ended *undecided* and either a crash was
-/// absorbed along the way or a resource axis (deadline, memory, conflicts)
-/// ran out.  Decided items never retry — a crash that lost the race to a
-/// validated answer needs no second opinion.
+/// An item is retried when it ended *undecided* after a crash was absorbed
+/// along the way.  Decided items never retry — a crash that lost the race
+/// to a validated answer needs no second opinion — and neither do items
+/// that merely ran out of time or budget: a lane whose deadline passes is
+/// filed as cancelled, and a budget-out repeats in the same race.
 fn wants_retry(result: &PortfolioResult) -> bool {
-    if matches!(result.answer, Answer::Sat(_) | Answer::Unsat) {
-        return false;
-    }
-    crashed_somewhere(result) || resource_out(&result.answer)
+    !matches!(result.answer, Answer::Sat(_) | Answer::Unsat) && crashed_somewhere(result)
 }
 
 /// Parses named SMT-LIB sources and solves them as one batch, carrying each
@@ -434,13 +411,13 @@ mod tests {
         let report =
             solve_scripts(&sources, &PortfolioSolver::new(), &BatchOptions::default()).unwrap();
         assert_eq!(report.stats.sat, 1);
-        // the hint restricted the race to enumeration + tag-pos
+        // the hint restricted the race to enumeration + cdcl-pos
         assert_eq!(report.outcomes[0].result.reports.len(), 2);
     }
 
     #[test]
     fn crashed_lane_is_visible_in_the_report_and_decided_items_skip_retry() {
-        use crate::{Strategy, TagPosStrategy};
+        use crate::{CdclPosStrategy, Strategy};
         use posr_lia::cancel::CancelToken;
         use std::sync::Arc;
 
@@ -454,12 +431,25 @@ mod tests {
             }
         }
 
+        struct HangingStrategy;
+        impl Strategy for HangingStrategy {
+            fn name(&self) -> &'static str {
+                "hanging"
+            }
+            fn solve(&self, _f: &StringFormula, cancel: &CancelToken) -> Answer {
+                while !cancel.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Answer::Unknown(cancel.unknown_reason())
+            }
+        }
+
         let unsat = StringFormula::new()
             .in_re("x", "abc")
             .diseq(StringTerm::var("x"), StringTerm::lit("abc"));
         let portfolio = crate::PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(CdclPosStrategy::default()),
         ])
         .with_parallelism(2);
         let report = solve_batch(
@@ -478,18 +468,33 @@ mod tests {
             .iter()
             .any(|r| matches!(r.outcome, crate::StrategyOutcome::Crashed { .. })));
 
-        // with no surviving lane the item stays undecided and is retried
-        // exactly once
-        let all_crash = crate::PortfolioSolver::with_strategies(vec![Arc::new(PanickingStrategy)])
-            .with_parallelism(2);
+        // with no surviving lane an item stays undecided and is retried
+        // exactly once; an item whose only lane hangs until the timeout
+        // ends undecided without a crash and is not retried (the hints
+        // give each item its one lane)
+        let unlucky = crate::PortfolioSolver::with_strategies(vec![
+            Arc::new(PanickingStrategy),
+            Arc::new(HangingStrategy),
+        ])
+        .with_parallelism(2);
+        let only = |name: &str, lane: &str| BatchItem {
+            hint: Some(lane.to_string()),
+            ..BatchItem::new(name, unsat.clone())
+        };
         let report = solve_batch(
-            &[BatchItem::new("hopeless", unsat)],
-            &all_crash,
-            &BatchOptions::default(),
+            &[only("hopeless", "panicky"), only("hung", "hanging")],
+            &unlucky,
+            &BatchOptions {
+                workers: 1,
+                timeout: Some(Duration::from_millis(50)),
+            },
         );
-        assert_eq!(report.stats.unknown, 1);
+        assert_eq!(report.stats.unknown, 2);
         assert_eq!(report.stats.crashed, 1);
         assert_eq!(report.stats.retried, 1);
+        let hung = &report.outcomes[1].result;
+        assert_eq!(hung.reports.len(), 1);
+        assert_eq!(hung.reports[0].outcome, crate::StrategyOutcome::Cancelled);
     }
 
     #[test]

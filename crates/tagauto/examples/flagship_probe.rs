@@ -1,11 +1,14 @@
-//! Quick probe: flagship loopy unsat instance under both engines.
+//! Quick probe: flagship loopy unsat instance under the CDCL(T) engine and
+//! the structural DPLL(T) oracle.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use posr_automata::Regex;
+use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig};
+use posr_lia::oracle::{structural_solve, MAX_DECISIONS};
+use posr_lia::solver::{Solver, SolverResult};
 use posr_lia::term::VarPool;
 use posr_tagauto::system::{PositionConstraint, SystemEncoder};
 use posr_tagauto::tags::VarTable;
@@ -34,19 +37,19 @@ fn main() {
         formula.size(),
         formula.num_atoms()
     );
-    for engine in [SearchEngine::Cdcl, SearchEngine::Structural] {
-        let start = Instant::now();
-        let config = SolverConfig::default().with_engine(engine);
-        let result = Solver::with_config(config).solve(&formula);
-        println!(
-            "{engine:?}: {:?} in {:?}",
-            match result {
-                posr_lia::solver::SolverResult::Sat(_) => "sat".to_string(),
-                posr_lia::solver::SolverResult::Unsat => "unsat".to_string(),
-                posr_lia::solver::SolverResult::Unknown(r) => format!("unknown: {r}"),
-            },
-            start.elapsed()
-        );
+    let start = Instant::now();
+    let result = Solver::new().solve(&formula);
+    println!("Cdcl: {:?} in {:?}", status(result), start.elapsed());
+    let start = Instant::now();
+    let result = structural_solve(&formula, MAX_DECISIONS, &CancelToken::none());
+    println!("Structural: {:?} in {:?}", status(result), start.elapsed());
+}
+
+fn status(result: SolverResult) -> String {
+    match result {
+        SolverResult::Sat(_) => "sat".to_string(),
+        SolverResult::Unsat => "unsat".to_string(),
+        SolverResult::Unknown(r) => format!("unknown: {r}"),
     }
 }
 
@@ -67,15 +70,6 @@ fn sat_probe() {
         formula.num_atoms()
     );
     let start = Instant::now();
-    let config = SolverConfig::default().with_engine(SearchEngine::Cdcl);
-    let result = Solver::with_config(config).solve(&formula);
-    eprintln!(
-        "Cdcl: {:?} in {:?}",
-        match result {
-            posr_lia::solver::SolverResult::Sat(_) => "sat".to_string(),
-            posr_lia::solver::SolverResult::Unsat => "unsat".to_string(),
-            posr_lia::solver::SolverResult::Unknown(r) => format!("unknown: {r}"),
-        },
-        start.elapsed()
-    );
+    let result = Solver::new().solve(&formula);
+    eprintln!("Cdcl: {:?} in {:?}", status(result), start.elapsed());
 }

@@ -147,3 +147,52 @@ fn length_script() {
         other => panic!("expected sat, got {other:?}"),
     }
 }
+
+/// The value `x` takes in the model of a script expected to be sat.
+fn sat_value_of_x(script: &str) -> String {
+    match solve_script(script) {
+        posr_core::Answer::Sat(model) => model.string("x").to_string(),
+        other => panic!("expected sat, got {other:?}"),
+    }
+}
+
+#[test]
+fn empty_string_regex_accepts_the_empty_word() {
+    let script = r#"
+      (declare-const x String)
+      (assert (str.in_re x (str.to_re "")))
+      (assert (= (str.len x) 0))
+      (check-sat)
+    "#;
+    assert_eq!(sat_value_of_x(script), "");
+}
+
+#[test]
+fn empty_string_inside_a_union_is_epsilon() {
+    let script = r#"
+      (declare-const x String)
+      (assert (str.in_re x (re.++ (str.to_re "a") (re.union (str.to_re "") (str.to_re "b")))))
+      (assert (= (str.len x) 1))
+      (check-sat)
+    "#;
+    assert_eq!(sat_value_of_x(script), "a");
+}
+
+#[test]
+fn regex_metacharacters_in_string_literals_are_literal() {
+    // the only word of (str.to_re "a*") is the two-character string "a*"
+    let script = r#"
+      (declare-const x String)
+      (assert (str.in_re x (str.to_re "a*")))
+      (assert (= (str.len x) 2))
+      (check-sat)
+    "#;
+    assert_eq!(sat_value_of_x(script), "a*");
+    let too_long = r#"
+      (declare-const x String)
+      (assert (str.in_re x (str.to_re "a*")))
+      (assert (= (str.len x) 3))
+      (check-sat)
+    "#;
+    assert!(solve_script(too_long).is_unsat());
+}

@@ -15,6 +15,7 @@ use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::normal::PositionAtom;
 use posr_core::position::{solve_position, PositionOptions, PositionProblem};
 use posr_core::solver::StringSolver;
+use posr_lia::CancelToken;
 
 #[test]
 fn killed_solve_leaves_a_dump_that_obs_report_renders() {
@@ -55,11 +56,8 @@ fn killed_solve_leaves_a_dump_that_obs_report_renders() {
         positions: &positions,
         lengths: &lengths,
     };
-    let options = PositionOptions {
-        deadline: Some(std::time::Instant::now()),
-        ..PositionOptions::default()
-    };
-    let outcome = solve_position(&problem, &options);
+    let token = CancelToken::with_deadline(std::time::Instant::now());
+    let outcome = solve_position(&problem, &PositionOptions::default(), &token);
     assert!(!outcome.is_sat(), "the killed solve cannot claim sat");
 
     // the dump exists and the library rendering (the code behind

@@ -77,8 +77,8 @@ const WATCHDOG_DEFAULT_MS: u64 = 30_000;
 /// `POSR_WATCHDOG_MS` (default 30 s).  A solve past its soft deadline —
 /// or one killed by cancellation, via [`posr_obs::Watchdog::fire_now`] —
 /// leaves a black-box dump behind.
-fn arm_watchdog(options: &PositionOptions) -> posr_obs::Watchdog {
-    let soft = match options.deadline {
+fn arm_watchdog(token: &CancelToken) -> posr_obs::Watchdog {
+    let soft = match token.deadline() {
         Some(deadline) => deadline.saturating_duration_since(Instant::now()),
         None => std::time::Duration::from_millis(
             std::env::var("POSR_WATCHDOG_MS")
@@ -96,45 +96,31 @@ pub static OBS_PROOF_DOCS: std::sync::LazyLock<posr_obs::Counter> =
 pub static OBS_PROOF_BYTES: std::sync::LazyLock<posr_obs::Counter> =
     std::sync::LazyLock::new(|| posr_obs::counter("proof.sink.bytes"));
 
-/// Resource limits of the position procedure.
-#[derive(Clone, Debug)]
+/// Connectivity cuts one position solve may add before it answers
+/// `Unknown(`[`CONNECTIVITY_CUT_LIMIT_MSG`]`)`.
+pub const MAX_CONNECTIVITY_CUTS: usize = 64;
+
+/// The `Unknown` reason of a solve that hit [`MAX_CONNECTIVITY_CUTS`].
+pub const CONNECTIVITY_CUT_LIMIT_MSG: &str = "connectivity-cut limit exceeded";
+
+/// Model-based `¬contains` instantiation rounds one position solve may run
+/// before it answers `Unknown(`[`CEGAR_ROUND_LIMIT_MSG`]`)`.
+pub const MAX_CEGAR_ROUNDS: usize = 64;
+
+/// The `Unknown` reason of a solve that hit [`MAX_CEGAR_ROUNDS`].
+pub const CEGAR_ROUND_LIMIT_MSG: &str = "¬contains instantiation limit exceeded";
+
+/// Options of the position procedure.  Its runtime limits are not here:
+/// they ride on the token passed to [`solve_position`].
+#[derive(Clone, Debug, Default)]
 pub struct PositionOptions {
-    /// Maximum number of connectivity cuts per query.
-    pub max_connectivity_cuts: usize,
-    /// Maximum number of model-based instantiation rounds for `¬contains`.
-    pub max_cegar_rounds: usize,
-    /// Configuration of the underlying LIA solver.
+    /// Configuration of the underlying LIA solver.  Its `cancel` is
+    /// replaced by the solve's token.
     pub lia: SolverConfig,
     /// When set, the CEGAR loop turns on LIA proof logging and pushes the
     /// serialized proof of every certified Unsat into the sink — the
     /// engine behind SMT-LIB `(get-proof)`.
     pub proof_sink: Option<ProofSink>,
-    /// Optional wall-clock deadline; checked between solver calls.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation token; checked between solver calls and
-    /// propagated into the LIA search itself.
-    pub cancel: CancelToken,
-}
-
-impl Default for PositionOptions {
-    fn default() -> PositionOptions {
-        PositionOptions {
-            max_connectivity_cuts: 64,
-            max_cegar_rounds: 64,
-            lia: SolverConfig::default(),
-            proof_sink: None,
-            deadline: None,
-            cancel: CancelToken::none(),
-        }
-    }
-}
-
-impl PositionOptions {
-    /// The token actually polled: the cancellation flag plus the legacy
-    /// deadline field folded in.
-    fn effective_token(&self) -> CancelToken {
-        self.cancel.merged_with_deadline(self.deadline)
-    }
 }
 
 /// The input of the procedure: `R′` (languages), `I` (length constraints)
@@ -148,8 +134,13 @@ pub struct PositionProblem<'a> {
     pub lengths: &'a [(LenTerm, LenCmp, LenTerm)],
 }
 
-/// Solves `R′ ∧ I′ ∧ P′`.
-pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) -> PositionOutcome {
+/// Solves `R′ ∧ I′ ∧ P′`, polling `token` (flag, deadline, memory budget)
+/// between solver calls and inside the LIA search.
+pub fn solve_position(
+    problem: &PositionProblem<'_>,
+    options: &PositionOptions,
+    token: &CancelToken,
+) -> PositionOutcome {
     let mut vars = VarTable::new();
     let mut automata: BTreeMap<StrVar, Nfa> = BTreeMap::new();
     for (name, nfa) in problem.languages {
@@ -352,15 +343,14 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
         return PositionOutcome::Unsat;
     }
 
-    solve_with_cegar(
-        &encoding,
-        base_formula,
-        &contains_only,
-        &vars,
-        &automata,
-        &int_vars,
-        options,
-    )
+    let query = CegarQuery {
+        encoding: &encoding,
+        contains_goals: &contains_only,
+        vars: &vars,
+        automata: &automata,
+        int_vars: &int_vars,
+    };
+    solve_with_cegar(&query, base_formula, options, token)
 }
 
 /// Sampling assist: satisfiable position constraints overwhelmingly have
@@ -471,22 +461,36 @@ fn satisfies_concretely(problem: &PositionProblem<'_>, strings: &BTreeMap<String
     true
 }
 
+/// What the CEGAR loop decides over: the system encoding, the `¬contains`
+/// goals every candidate is checked against, and the tables that map an
+/// LIA model back to strings and integers.
+struct CegarQuery<'a> {
+    encoding: &'a SystemEncoding,
+    contains_goals: &'a [(Vec<String>, Vec<String>)],
+    vars: &'a VarTable,
+    automata: &'a BTreeMap<StrVar, Nfa>,
+    int_vars: &'a BTreeMap<String, Var>,
+}
+
 /// The main solve loop: lazy connectivity cuts plus the `¬contains`
 /// instantiation loop (blocking refuted candidate assignments).  Every
 /// round runs on the same persistent CDCL(T) session — refinements are
 /// asserted as increments — so the conflicts refuting one candidate keep
 /// pruning the next round's search.
 fn solve_with_cegar(
-    encoding: &SystemEncoding,
+    query: &CegarQuery<'_>,
     base_formula: Formula,
-    contains_goals: &[(Vec<String>, Vec<String>)],
-    vars: &VarTable,
-    automata: &BTreeMap<StrVar, Nfa>,
-    int_vars: &BTreeMap<String, Var>,
     options: &PositionOptions,
+    token: &CancelToken,
 ) -> PositionOutcome {
-    let token = options.effective_token();
-    // the LIA search must observe the same flag/deadline the position loop polls
+    let CegarQuery {
+        encoding,
+        contains_goals,
+        vars,
+        automata,
+        int_vars,
+    } = *query;
+    // the LIA search must observe the same token the position loop polls
     let mut lia_config = options.lia.clone();
     lia_config.cancel = token.clone();
     // proofs come from the persistent session's log
@@ -498,7 +502,7 @@ fn solve_with_cegar(
     let mut cuts = 0usize;
     let mut rounds = 0usize;
     let flat = contains_goals.is_empty() || notcontains::all_flat(contains_goals, vars, automata);
-    let watchdog = arm_watchdog(options);
+    let watchdog = arm_watchdog(token);
     // flow ids opened at a refinement site (connectivity cut / blocked
     // candidate), closed inside the round they trigger — the Perfetto
     // arrow from "this cut" to "that re-solve"
@@ -582,10 +586,8 @@ fn solve_with_cegar(
                 let Some(assignment) = encoding.extract_assignment(&model) else {
                     // phantom flow: add a connectivity cut and retry
                     cuts += 1;
-                    if cuts > options.max_connectivity_cuts {
-                        return PositionOutcome::Unknown(
-                            "connectivity-cut limit exceeded".to_string(),
-                        );
+                    if cuts > MAX_CONNECTIVITY_CUTS {
+                        return PositionOutcome::Unknown(CONNECTIVITY_CUT_LIMIT_MSG.to_string());
                     }
                     match encoding.connectivity_cut(&model) {
                         Some(cut) => {
@@ -622,10 +624,8 @@ fn solve_with_cegar(
                 }
                 if refuted {
                     rounds += 1;
-                    if rounds > options.max_cegar_rounds {
-                        return PositionOutcome::Unknown(
-                            "¬contains instantiation limit exceeded".to_string(),
-                        );
+                    if rounds > MAX_CEGAR_ROUNDS {
+                        return PositionOutcome::Unknown(CEGAR_ROUND_LIMIT_MSG.to_string());
                     }
                     posr_obs::instant("core", "cegar.block-candidate");
                     let flow = posr_obs::flow_id();
@@ -715,7 +715,7 @@ mod tests {
             positions: &positions,
             lengths: &lengths,
         };
-        match solve_position(&problem, &PositionOptions::default()) {
+        match solve_position(&problem, &PositionOptions::default(), &CancelToken::none()) {
             PositionOutcome::Sat(strings, _) => {
                 assert_ne!(strings["x"], strings["y"]);
                 assert_eq!(strings["x"].len(), strings["y"].len());
@@ -737,7 +737,7 @@ mod tests {
             lengths: &[],
         };
         assert_eq!(
-            solve_position(&problem, &PositionOptions::default()),
+            solve_position(&problem, &PositionOptions::default(), &CancelToken::none()),
             PositionOutcome::Unsat
         );
     }
@@ -755,7 +755,7 @@ mod tests {
             positions: &positions,
             lengths: &[],
         };
-        match solve_position(&problem, &PositionOptions::default()) {
+        match solve_position(&problem, &PositionOptions::default(), &CancelToken::none()) {
             PositionOutcome::Sat(strings, _) => {
                 assert!(!strings["y"].contains(&strings["x"]));
             }
@@ -777,7 +777,7 @@ mod tests {
             lengths: &[],
         };
         assert_eq!(
-            solve_position(&problem, &PositionOptions::default()),
+            solve_position(&problem, &PositionOptions::default(), &CancelToken::none()),
             PositionOutcome::Unsat
         );
     }
@@ -796,7 +796,7 @@ mod tests {
             lengths: &[],
         };
         assert_eq!(
-            solve_position(&problem, &PositionOptions::default()),
+            solve_position(&problem, &PositionOptions::default(), &CancelToken::none()),
             PositionOutcome::Unsat
         );
     }

@@ -87,31 +87,25 @@ impl Answer {
 }
 
 /// Tuning options of the solver.
-#[derive(Clone, Debug)]
+///
+/// [`StringSolver::solve`] folds `deadline` into `cancel` once, giving one
+/// token per query that carries every runtime limit: the flag, the
+/// earlier deadline and the memory budget.  The fixed caps are constants:
+/// [`monadic::DEFAULT_CASE_LIMIT`] monadic cases, the position
+/// procedure's [`crate::position::MAX_CONNECTIVITY_CUTS`] and
+/// [`crate::position::MAX_CEGAR_ROUNDS`], and the LIA engine's
+/// [`posr_lia::cdcl::MAX_CONFLICTS`] per solve call.
+#[derive(Clone, Debug, Default)]
 pub struct SolverOptions {
-    /// Maximum number of monadic cases explored (stabilisation case splits).
-    pub max_monadic_cases: usize,
-    /// Limits of the position procedure (connectivity cuts, ¬contains rounds,
-    /// LIA resource limits).
+    /// Options of the position procedure (LIA toggles, proof sink).
     pub position: PositionOptions,
     /// Optional wall-clock deadline for the whole query.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation token for the whole query: polled between
     /// monadic cases here and threaded down through the position procedure
-    /// into the DPLL(T) branch points.  The portfolio engine fires it to
+    /// into the CDCL(T) branch points.  The portfolio engine fires it to
     /// abandon losing strategies.
     pub cancel: CancelToken,
-}
-
-impl Default for SolverOptions {
-    fn default() -> SolverOptions {
-        SolverOptions {
-            max_monadic_cases: monadic::DEFAULT_CASE_LIMIT,
-            position: PositionOptions::default(),
-            deadline: None,
-            cancel: CancelToken::none(),
-        }
-    }
 }
 
 /// The string solver implementing the paper's pipeline.
@@ -142,13 +136,13 @@ impl StringSolver {
     /// the original formula; `Unsat` is reported only when every monadic case
     /// was refuted without hitting a resource limit.
     pub fn solve(&self, formula: &StringFormula) -> Answer {
-        // fold the query-level deadline and cancellation flag into one token
-        // and hand the same token to the position procedure
+        // fold the query-level deadline into the caller's token (with a
+        // flag of its own if the caller's had none) and hand the same token
+        // to the position procedure
         let mut token = self
             .options
             .cancel
-            .merged_with_deadline(self.options.deadline)
-            .merged_with_deadline(self.options.position.deadline);
+            .merged_with_deadline(self.options.deadline);
         // a POSR_MEM_BUDGET in the environment applies to every solve that
         // was not already handed a budget by its caller
         if token.budget().is_none() {
@@ -161,9 +155,6 @@ impl StringSolver {
         // attach the budget so allocation charges from this thread (clause
         // DB, tableau, proof sink, automaton cache) land on this solve
         let _budget_scope = token.budget().map(posr_obs::budget::attach);
-        let mut position_options = self.options.position.clone();
-        position_options.deadline = token.deadline();
-        position_options.cancel = token.clone();
 
         let _solve_span = posr_obs::span!("core", "solve");
         if posr_obs::solve_log_enabled() {
@@ -172,9 +163,7 @@ impl StringSolver {
         // the arithmetic substrate signals unrecoverable overflow by panic;
         // after the BigInt slow lane has given up, degrade to Unknown here
         // rather than aborting the caller
-        let answer = match posr_lia::catch_overflow(|| {
-            self.solve_phases(formula, &token, &position_options)
-        }) {
+        let answer = match posr_lia::catch_overflow(|| self.solve_phases(formula, &token)) {
             Ok(answer) => answer,
             Err(reason) => Answer::Unknown(reason),
         };
@@ -193,12 +182,7 @@ impl StringSolver {
         answer
     }
 
-    fn solve_phases(
-        &self,
-        formula: &StringFormula,
-        token: &posr_lia::cancel::CancelToken,
-        position_options: &PositionOptions,
-    ) -> Answer {
+    fn solve_phases(&self, formula: &StringFormula, token: &CancelToken) -> Answer {
         let nf = {
             let _span = posr_obs::span!("core", "normalize");
             if posr_obs::solve_log_enabled() {
@@ -214,7 +198,7 @@ impl StringSolver {
             if posr_obs::solve_log_enabled() {
                 posr_obs::solve_log("phase.decompose", &[]);
             }
-            match monadic::decompose(&nf, self.options.max_monadic_cases) {
+            match monadic::decompose(&nf, monadic::DEFAULT_CASE_LIMIT) {
                 Ok(cases) => cases,
                 Err(e) => return Answer::Unknown(e.to_string()),
             }
@@ -232,7 +216,7 @@ impl StringSolver {
             if posr_obs::solve_log_enabled() {
                 posr_obs::solve_log("phase.case", &[("case", case_index.into())]);
             }
-            match self.solve_case(formula, &nf.positions, &nf.lengths, case, position_options) {
+            match self.solve_case(formula, &nf.positions, &nf.lengths, case, token) {
                 Answer::Sat(model) => return Answer::Sat(model),
                 Answer::Unsat => {}
                 Answer::Unknown(reason) => saw_unknown = Some(reason),
@@ -250,7 +234,7 @@ impl StringSolver {
         positions: &[PositionAtom],
         lengths: &[(crate::ast::LenTerm, crate::ast::LenCmp, crate::ast::LenTerm)],
         case: &MonadicCase,
-        position_options: &PositionOptions,
+        token: &CancelToken,
     ) -> Answer {
         // apply the substitution to the position constraints
         let substituted: Vec<PositionAtom> = positions
@@ -307,7 +291,7 @@ impl StringSolver {
             positions: &substituted,
             lengths: &lengths_substituted,
         };
-        match solve_position(&problem, position_options) {
+        match solve_position(&problem, &self.options.position, token) {
             PositionOutcome::Unsat => Answer::Unsat,
             PositionOutcome::Unknown(reason) => Answer::Unknown(reason),
             PositionOutcome::Sat(strings, ints) => {

@@ -1,13 +1,23 @@
-//! Cooperative cancellation for long-running solver calls.
+//! The one carrier of a solve's runtime limits.
 //!
-//! A [`CancelToken`] combines an optional shared flag (set by another thread
-//! via [`CancelToken::cancel`]) with an optional wall-clock deadline.  Every
-//! layer of the solving stack — the DPLL(T) search of this crate, the
-//! position procedure and the baseline solvers of `posr-core`, and the
-//! portfolio engine of `posr-portfolio` — polls the token at its branch
+//! A [`CancelToken`] bundles everything that can stop a solve early: an
+//! optional shared flag (set by another thread via [`CancelToken::cancel`],
+//! or by an injected fault), an optional wall-clock deadline, and an
+//! optional memory [`Budget`].  `posr-core`'s `StringSolver::solve` builds
+//! one token per query and passes it down as an argument; every layer of
+//! the solving stack — the position procedure and the baseline solvers of
+//! `posr-core`, the CDCL(T) search and branch-and-bound of this crate, and
+//! the portfolio engine of `posr-portfolio` — polls it at its branch
 //! points and unwinds with an `Unknown` answer once it fires.  Polling a
-//! token that has neither a flag nor a deadline is free, so sequential
-//! callers pay nothing for the plumbing.
+//! token that has neither a flag, a deadline nor a budget is free, so
+//! sequential callers pay nothing for the plumbing.
+//!
+//! The limits that are not set per call are constants next to the code
+//! they bound, each with its own `Unknown` reason: the per-call conflict
+//! cap ([`crate::cdcl::MAX_CONFLICTS`]) and the branch-and-bound node cap
+//! ([`crate::intfeas::BRANCH_AND_BOUND_LIMIT_MSG`]) here, the
+//! connectivity-cut and `¬contains` round caps in `posr-core`'s position
+//! procedure.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,10 +35,10 @@ pub const DEADLINE_MSG: &str = "deadline exceeded";
 /// A cloneable cancellation/deadline/budget token.
 ///
 /// Clones share the underlying flag: cancelling any clone cancels them all.
-/// A token may also carry a shared [`Budget`] (memory + conflict axes);
-/// an exceeded axis fires the token exactly like a raised flag, so every
-/// existing poll point degrades to the same clean `Unknown`.  The default
-/// token ([`CancelToken::none`]) can never fire.
+/// A token may also carry a shared memory [`Budget`]; an exceeded budget
+/// fires the token exactly like a raised flag, so every existing poll
+/// point degrades to the same clean `Unknown`.  The default token
+/// ([`CancelToken::none`]) can never fire.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Option<Arc<AtomicBool>>,
@@ -60,9 +70,9 @@ impl CancelToken {
         }
     }
 
-    /// This token with `budget` attached: the token fires once any budget
-    /// axis is exceeded.  Clones (and [`merged_with_deadline`] results)
-    /// share the budget.
+    /// This token with `budget` attached: the token fires once the budget
+    /// is exceeded.  Clones (and [`merged_with_deadline`] results) share
+    /// the budget.
     ///
     /// [`merged_with_deadline`]: CancelToken::merged_with_deadline
     pub fn with_budget(mut self, budget: Arc<Budget>) -> CancelToken {
@@ -80,16 +90,18 @@ impl CancelToken {
         self.deadline
     }
 
-    /// A token sharing this one's flag whose deadline is the earlier of this
-    /// one's and `deadline`.  Used to fold legacy `Option<Instant>` deadline
-    /// fields into the token that is actually polled.
+    /// The per-solve token: shares this token's flag and budget, and its
+    /// deadline is the earlier of this one's and `deadline`.  A token
+    /// without a flag ([`CancelToken::none`]) gets a fresh one, so a
+    /// `cancel()` on the result — an injected `Cancel` fault, say — always
+    /// fires it.
     pub fn merged_with_deadline(&self, deadline: Option<Instant>) -> CancelToken {
         let deadline = match (self.deadline, deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         CancelToken {
-            flag: self.flag.clone(),
+            flag: Some(self.flag.clone().unwrap_or_default()),
             deadline,
             budget: self.budget.clone(),
         }
@@ -110,13 +122,13 @@ impl CancelToken {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// The budget axis currently exceeded, if any.
+    /// The budget's `Unknown` reason once it is exceeded.
     pub fn budget_exceeded(&self) -> Option<&'static str> {
         self.budget.as_ref().and_then(|b| b.exceeded_axis())
     }
 
-    /// `true` once the flag is set, the deadline has passed, or a budget
-    /// axis is exceeded.
+    /// `true` once the flag is set, the deadline has passed, or the budget
+    /// is exceeded.
     pub fn is_cancelled(&self) -> bool {
         if self.flag_raised() {
             return true;
@@ -209,13 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn conflict_budget_reports_its_axis() {
-        let budget = Arc::new(Budget::unlimited().with_conflict_limit(5));
-        let token = CancelToken::none().with_budget(Arc::clone(&budget));
-        assert!(token.can_fire());
-        budget.charge_conflicts(6);
-        assert!(token.is_cancelled());
-        assert_eq!(token.unknown_reason(), posr_obs::CONFLICT_BUDGET_MSG);
+    fn merging_a_flagless_token_adds_a_flag() {
+        let later = Instant::now() + Duration::from_secs(60);
+        let budget = Arc::new(Budget::unlimited());
+        let merged = CancelToken::none()
+            .with_budget(Arc::clone(&budget))
+            .merged_with_deadline(Some(later));
+        assert_eq!(merged.deadline(), Some(later));
+        assert!(merged.budget().is_some_and(|b| Arc::ptr_eq(b, &budget)));
+        assert!(!merged.is_cancelled());
+        merged.cancel();
+        assert!(merged.is_cancelled());
+        assert_eq!(merged.unknown_reason(), CANCELLED_MSG);
     }
 
     #[test]

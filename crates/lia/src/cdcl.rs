@@ -13,13 +13,13 @@
 //! * **Luby restarts** and **VSIDS-style** activity-ordered decisions with
 //!   phase saving.
 //!
-//! The engine is *persistent*: [`Engine::solve`] can be called repeatedly
-//! on a growing clause database ([`Engine::add_root_clause`] /
-//! [`Engine::grow_theory`]), under **assumptions** (literals enqueued as
+//! The engine is *persistent*: `Engine::solve` can be called repeatedly
+//! on a growing clause database (`Engine::add_root_clause` /
+//! `Engine::grow_theory`), under **assumptions** (literals enqueued as
 //! pseudo-decisions before the search proper, the mechanism behind the
 //! `push`/`pop` frames of [`crate::incremental`]).  Learned clauses, VSIDS
 //! activities and saved phases survive across calls, and an LBD-ranked
-//! learned-clause GC ([`Engine::reduce_db`], triggered at restarts) keeps
+//! learned-clause GC (`Engine::reduce_db`, triggered at restarts) keeps
 //! long sessions from growing unboundedly.  One-shot solving
 //! ([`solve_cdcl`]) is the special case of a fresh engine and no
 //! assumptions.
@@ -51,7 +51,7 @@
 //! * at the leaves (a full assignment, or every original clause already
 //!   satisfied) a **persistent, backtrackable simplex**
 //!   ([`crate::simplex::IncrementalSimplex`]) re-checks rational
-//!   feasibility: atoms are registered once at [`Engine::grow_theory`],
+//!   feasibility: atoms are registered once at `Engine::grow_theory`,
 //!   asserted literals become O(1) bound assertions kept in lock-step
 //!   with the trail (retracted on backjump), and the pivot loop
 //!   warm-starts from the previous basis — its Farkas certificate is the
@@ -64,7 +64,7 @@
 //! was exhausted without any resource-out — and, in a persistent session,
 //! only while no search-heuristic blocking clause was ever learned (a
 //! resource-out leaves the engine *tainted*: refutations from a tainted
-//! database surface as `Unknown`).  Cancellation, conflict budgets and
+//! database surface as `Unknown`).  Cancellation, the conflict cap and
 //! integer resource-outs all surface as `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
@@ -75,7 +75,9 @@ use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
 use crate::cnf::{constraint_of_meaning, split_meaning, Clausifier, Lit};
 use crate::explain;
 use crate::formula::Formula;
-use crate::intfeas::{solve_integer_with_pivots, IntFeasResult};
+use crate::intfeas::{
+    solve_integer_with_pivots, IntFeasConfig, IntFeasResult, BRANCH_AND_BOUND_LIMIT_MSG,
+};
 use crate::proof::{farkas_coefficients, CertKind, ProofBuilder};
 use crate::rational::Rat;
 use crate::simplex::{
@@ -83,6 +85,16 @@ use crate::simplex::{
 };
 use crate::solver::{Model, SolverConfig, SolverResult};
 use crate::term::{LinExpr, Var};
+
+/// Conflicts one `solve` call may spend before it answers
+/// `Unknown(`[`CONFLICT_LIMIT_MSG`]`)`: a backstop against runaway
+/// searches (wall clocks are the token's deadline).  It sits above what
+/// the benchmark families need while keeping resource-outs at a few
+/// seconds.
+pub const MAX_CONFLICTS: u64 = 50_000;
+
+/// The `Unknown` reason of a `solve` call that hit [`MAX_CONFLICTS`].
+pub const CONFLICT_LIMIT_MSG: &str = "conflict limit reached";
 
 /// Reason index of decisions and unassigned variables.
 const NO_REASON: u32 = u32::MAX;
@@ -185,7 +197,7 @@ const LEAF_CANCEL_SLICE: u64 = 4096;
 
 /// Cumulative counters of a CDCL(T) engine (one search or a whole
 /// incremental session — the counters never reset between
-/// [`Engine::solve`] calls).
+/// `Engine::solve` calls).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Conflicts resolved (clause learning events).
@@ -1608,8 +1620,10 @@ impl Engine {
     /// a clean cancellation rather than a tainting blocking clause).
     fn final_check(&mut self) -> FinalOutcome {
         self.stats.final_checks += 1;
-        let mut int_config = self.config.int_config.clone();
-        int_config.cancel = self.config.cancel.clone();
+        let int_config = IntFeasConfig {
+            cancel: self.config.cancel.clone(),
+            ..IntFeasConfig::default()
+        };
         let (result, _pivots) = solve_integer_with_pivots(&self.theory_stack, &int_config);
         match result {
             IntFeasResult::Sat(values) => FinalOutcome::Model(Model::from_values(values)),
@@ -1743,9 +1757,6 @@ impl Engine {
     /// conflict is at the root level (search exhausted).
     fn resolve_conflict(&mut self, conflict: Vec<Lit>, conflict_id: u64) -> bool {
         self.stats.conflicts += 1;
-        if let Some(b) = self.config.cancel.budget() {
-            b.charge_conflicts(1);
-        }
         // theory conflicts may live entirely below the current level:
         // backtrack to the newest involved level first
         let max_level = conflict
@@ -1941,10 +1952,10 @@ impl Engine {
 
     fn undecided_unknown(&self) -> SolverResult {
         if self.cancelled {
-            // names the axis that fired: flag, budget axis, or deadline
+            // names the limit that fired: flag, memory budget, or deadline
             SolverResult::Unknown(self.config.cancel.unknown_reason())
         } else {
-            SolverResult::Unknown("resource limit reached".to_string())
+            SolverResult::Unknown(BRANCH_AND_BOUND_LIMIT_MSG.to_string())
         }
     }
 
@@ -1953,7 +1964,7 @@ impl Engine {
     /// earlier one (tainted refutations are not proofs).
     fn unsat_result(&self) -> SolverResult {
         if self.saw_resource_out || self.tainted {
-            SolverResult::Unknown("resource limit reached".to_string())
+            SolverResult::Unknown(BRANCH_AND_BOUND_LIMIT_MSG.to_string())
         } else {
             SolverResult::Unsat
         }
@@ -2069,9 +2080,8 @@ impl Engine {
             if self.trace {
                 self.trace_line();
             }
-            if self.stats.conflicts - self.solve_base_conflicts >= self.config.max_conflicts as u64
-            {
-                return SolverResult::Unknown("resource limit reached".to_string());
+            if self.stats.conflicts - self.solve_base_conflicts >= MAX_CONFLICTS {
+                return SolverResult::Unknown(CONFLICT_LIMIT_MSG.to_string());
             }
             let step = match self.propagate() {
                 Step::Conflict(c, id) => Step::Conflict(c, id),

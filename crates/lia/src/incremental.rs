@@ -90,8 +90,10 @@ impl IncrementalSolver {
         IncrementalSolver::with_config(SolverConfig::default())
     }
 
-    /// A session with an explicit configuration (cancellation token,
-    /// conflict budget, learned-clause cap, …).
+    /// A session with an explicit configuration (the cancellation token
+    /// carrying the runtime limits, the learned-clause cap, proof logging,
+    /// the theory toggles).  The conflict cap is
+    /// [`crate::cdcl::MAX_CONFLICTS`] per `solve` call.
     pub fn with_config(config: SolverConfig) -> IncrementalSolver {
         IncrementalSolver {
             clausifier: Clausifier::new(),

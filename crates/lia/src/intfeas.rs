@@ -2,15 +2,14 @@
 //! branch-and-bound on top of the rational simplex.
 //!
 //! Quantifier-free LIA satisfiability is NP-complete; the paper leans on this
-//! (Theorem 7.3 cites Papadimitriou's small-model bound [65]).  This module
+//! (Theorem 7.3 cites Papadimitriou's small-model bound \[65\]).  This module
 //! is the integer core: given a conjunction of `≤ / ≥ / =` constraints it
 //! either finds an integer model, proves that none exists, or gives up with a
 //! *resource-out* once a node or magnitude budget is exceeded — it never
 //! returns a wrong answer.
 //!
-//! The whole search runs on **one persistent
-//! [`IncrementalSimplex`](crate::simplex::IncrementalSimplex)**: the input
-//! conjunction is registered and asserted once at the root, and every
+//! The whole search runs on **one persistent [`IncrementalSimplex`]**: the
+//! input conjunction is registered and asserted once at the root, and every
 //! branch constraint (`x ≤ ⌊β⌋` / `x ≥ ⌈β⌉` — a single-variable bound) is
 //! an O(1) assertion under a backtracking level that is popped when the
 //! DFS leaves the branch.  Each node's feasibility check warm-starts from
@@ -28,6 +27,11 @@ use crate::term::{LinExpr, Var};
 /// check: a single warm-started check is usually a handful of pivots, but
 /// on product tableaux with hundreds of rows it can run for seconds.
 const CANCEL_SLICE: u64 = 4096;
+
+/// The `Unknown` reason of a refutation the CDCL(T) engine cannot trust
+/// because branch-and-bound ran out of nodes or past its magnitude bound
+/// ([`IntFeasResult::ResourceOut`] without a cancellation).
+pub const BRANCH_AND_BOUND_LIMIT_MSG: &str = "branch-and-bound limit reached";
 
 /// Resource limits for the branch-and-bound search.
 #[derive(Clone, Debug)]

@@ -28,7 +28,7 @@
 //!   once or not at all — this is what makes the theory side of CDCL(T)
 //!   as incremental as the Boolean side.
 //! * **Rows are flat and sparse.**  A basic variable's row is a
-//!   [`SparseRow`]: paired column/coefficient arrays sorted by column,
+//!   `SparseRow`: paired column/coefficient arrays sorted by column,
 //!   drawn from a per-tableau arena and recycled across pivots instead of
 //!   cloned.  A **column occurrence index** (`col_rows[j]` = the basic
 //!   variables whose rows mention column `j`) is maintained through every
@@ -55,7 +55,7 @@
 //! On top of the feasible assignment the engine runs **assignment-guided
 //! theory propagation** (see `cdcl.rs`): after a consistent check, `β` is
 //! a cheap necessary-condition filter for entailed atoms, and
-//! [`IncrementalSimplex::implied_bound`] turns a candidate into an
+//! `IncrementalSimplex::implied_bound` turns a candidate into an
 //! entailment certificate (the asserted bounds of one row) without any
 //! pivoting.
 //!

@@ -1,26 +1,21 @@
-//! A unified resource budget: approximate memory accounting plus a
-//! conflict cap, shared across every layer of one solve.
+//! The memory axis of a solve's resource limits: an approximate byte
+//! account shared across every layer of one solve.
 //!
-//! The solver already degrades cleanly on two resource axes — wall-clock
-//! deadlines and per-call conflict limits.  A [`Budget`] adds the missing
-//! axes under one roof: an *approximate* memory account (bytes charged by
-//! the clause database, the simplex tableau, the proof sink, and the
-//! automaton cache as they grow) and a cumulative conflict cap spanning
-//! all engines of a solve (a CEGAR loop can spin up many).  The token
-//! layer (`posr-lia`'s `CancelToken`) carries an `Arc<Budget>` and treats
-//! an exceeded axis exactly like a raised cancellation flag, so every
-//! existing poll point degrades to a clean, tainted-aware `Unknown`.
+//! A solve's runtime limits all ride on one token (`posr-lia`'s
+//! `CancelToken`): its cancellation flag, its wall-clock deadline, and an
+//! optional `Arc<Budget>`.  The [`Budget`] is the memory part — an
+//! *approximate* account of the bytes charged by the clause database, the
+//! simplex tableau, the proof sink, and the automaton cache as they grow.
+//! The token treats an exceeded budget exactly like a raised cancellation
+//! flag, so every existing poll point degrades to a clean, tainted-aware
+//! `Unknown`.  `POSR_MEM_BUDGET` arms it ([`mem_budget_from_env`]).
 //!
-//! Charging happens two ways:
-//!
-//! * through the token, where the charging code has one (the CDCL engine
-//!   charges its conflicts and learned clauses), and
-//! * through *thread attachment* ([`attach`], mirroring
-//!   [`crate::CounterScope`]): a solve attaches its budget to the solving
-//!   thread, and deep layers with no token in sight (the process-global
-//!   automaton cache, the proof sink) charge whatever budgets are
-//!   attached via the free functions [`charge_mem`] /
-//!   [`uncharge_mem`].
+//! Charging goes through *thread attachment* ([`attach`], mirroring
+//! [`crate::CounterScope`]): a solve (and each CDCL search, for its own
+//! token's budget) attaches the budget to the solving thread, and the
+//! growth sites — the clause database, the tableau, the proof sink, the
+//! process-global automaton cache — charge whatever budgets are attached
+//! via the free functions [`charge_mem`] / [`uncharge_mem`].
 //!
 //! The accounting is deliberately approximate — constant-factor estimates
 //! of the dominant allocations, charged at growth sites and (for the
@@ -34,19 +29,13 @@ use std::sync::Arc;
 /// The `Unknown` reason reported when a solve exceeds its memory budget.
 pub const MEM_BUDGET_MSG: &str = "memory budget exceeded";
 
-/// The `Unknown` reason reported when a solve exceeds its cumulative
-/// conflict budget.
-pub const CONFLICT_BUDGET_MSG: &str = "conflict budget exceeded";
-
-/// A multi-axis resource budget.  Cheap to poll (two relaxed loads) and
-/// cheap to charge (one `fetch_add` per axis).  `u64::MAX` on an axis
-/// means unlimited.
+/// An approximate memory budget.  Cheap to poll (one relaxed load) and
+/// cheap to charge (one `fetch_add`).  A limit of `u64::MAX` means
+/// unlimited.
 #[derive(Debug)]
 pub struct Budget {
     mem_limit: u64,
-    conflict_limit: u64,
     mem_used: AtomicU64,
-    conflicts: AtomicU64,
 }
 
 impl Default for Budget {
@@ -60,22 +49,13 @@ impl Budget {
     pub fn unlimited() -> Budget {
         Budget {
             mem_limit: u64::MAX,
-            conflict_limit: u64::MAX,
             mem_used: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
         }
     }
 
     /// Caps the approximate memory account at `bytes`.
     pub fn with_mem_limit(mut self, bytes: u64) -> Budget {
         self.mem_limit = bytes;
-        self
-    }
-
-    /// Caps cumulative conflicts (across every engine charging this
-    /// budget) at `n`.
-    pub fn with_conflict_limit(mut self, n: u64) -> Budget {
-        self.conflict_limit = n;
         self
     }
 
@@ -95,39 +75,21 @@ impl Budget {
             });
     }
 
-    /// Adds `n` conflicts to the account.
-    #[inline]
-    pub fn charge_conflicts(&self, n: u64) {
-        self.conflicts.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Current memory account, bytes.
     pub fn mem_used(&self) -> u64 {
         self.mem_used.load(Ordering::Relaxed)
     }
 
-    /// Current conflict account.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
-    }
-
-    /// The first exceeded axis, as the `Unknown` reason the solve should
-    /// report ([`MEM_BUDGET_MSG`] / [`CONFLICT_BUDGET_MSG`]); `None` while
-    /// every axis is within budget.
+    /// The `Unknown` reason the solve should report once the account is
+    /// over its limit ([`MEM_BUDGET_MSG`]); `None` while within budget.
     #[inline]
     pub fn exceeded_axis(&self) -> Option<&'static str> {
-        if self.mem_used.load(Ordering::Relaxed) > self.mem_limit {
-            return Some(MEM_BUDGET_MSG);
-        }
-        if self.conflicts.load(Ordering::Relaxed) > self.conflict_limit {
-            return Some(CONFLICT_BUDGET_MSG);
-        }
-        None
+        (self.mem_used.load(Ordering::Relaxed) > self.mem_limit).then_some(MEM_BUDGET_MSG)
     }
 
     /// `true` if this budget could ever fire (used by token fast paths).
     pub fn can_fire(&self) -> bool {
-        self.mem_limit != u64::MAX || self.conflict_limit != u64::MAX
+        self.mem_limit != u64::MAX
     }
 }
 
@@ -199,15 +161,6 @@ pub fn uncharge_mem(bytes: u64) {
     });
 }
 
-/// Charges `n` conflicts to every attached budget.
-pub fn charge_conflicts(n: u64) {
-    ATTACHED.with(|a| {
-        for b in a.borrow().iter() {
-            b.charge_conflicts(n);
-        }
-    });
-}
-
 /// Parses `POSR_MEM_BUDGET` (bytes, with optional `k`/`m`/`g` suffix,
 /// powers of 1024) into a memory cap; `None` when unset or unparseable.
 pub fn mem_budget_from_env() -> Option<u64> {
@@ -243,7 +196,6 @@ mod tests {
     fn unlimited_never_fires() {
         let b = Budget::unlimited();
         b.charge_mem(u64::MAX / 2);
-        b.charge_conflicts(1 << 40);
         assert_eq!(b.exceeded_axis(), None);
         assert!(!b.can_fire());
     }
@@ -264,26 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn conflict_axis_fires() {
-        let b = Budget::unlimited().with_conflict_limit(10);
-        b.charge_conflicts(10);
-        assert_eq!(b.exceeded_axis(), None);
-        b.charge_conflicts(1);
-        assert_eq!(b.exceeded_axis(), Some(CONFLICT_BUDGET_MSG));
-    }
-
-    #[test]
     fn thread_attachment_routes_free_charges() {
         let b = Arc::new(Budget::unlimited().with_mem_limit(100));
         {
             let _g = attach(&b);
             charge_mem(40);
-            charge_conflicts(3);
         }
         // detached: further charges don't land
         charge_mem(40);
         assert_eq!(b.mem_used(), 40);
-        assert_eq!(b.conflicts(), 3);
     }
 
     #[test]

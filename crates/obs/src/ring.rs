@@ -1,6 +1,6 @@
 //! Per-thread bounded ring buffers and the global track registry.
 //!
-//! Each recording thread owns one [`TrackBuf`] behind an `Arc`; a global
+//! Each recording thread owns one `TrackBuf` behind an `Arc`; a global
 //! registry keeps a second `Arc` so exporters can snapshot every track
 //! without the recording threads' cooperation (worker threads are usually
 //! gone by the time a trace is written).  The per-event cost is one

@@ -188,7 +188,8 @@ pub trait Strategy: Send + Sync {
 /// incremental LIA session per query.
 #[derive(Clone, Debug, Default)]
 pub struct CdclPosStrategy {
-    /// Base options; the racing token and deadline are merged in per query.
+    /// Base options; the racing token replaces their `cancel` per query,
+    /// and the solver folds their `deadline` into it.
     pub options: SolverOptions,
 }
 
@@ -199,9 +200,7 @@ impl Strategy for CdclPosStrategy {
 
     fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
         let mut options = self.options.clone();
-        // one shared implementation of the earlier-deadline merge
-        options.cancel = cancel.merged_with_deadline(options.deadline);
-        options.deadline = options.cancel.deadline();
+        options.cancel = cancel.clone();
         StringSolver::with_options(options).solve(formula)
     }
 }

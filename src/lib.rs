@@ -31,7 +31,7 @@
 //! * [`smtfmt`] — the SMT-LIB-flavoured front end with strategy hints,
 //!   including the `run_script` command stream (`push`/`pop`, multiple
 //!   `check-sat`, `get-model`),
-//! * [`bench`] — workload generators and the evaluation harness,
+//! * [`mod@bench`] — workload generators and the evaluation harness,
 //! * [`portfolio`] — the concurrent portfolio engine and batch driver.
 //!
 //! # Quick start

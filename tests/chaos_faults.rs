@@ -1,8 +1,10 @@
-//! Fault-injection and budget integration tests: overflow forced through
-//! every public solve entry point must come back as a clean answer (never a
-//! panic escaping to the caller), the BigInt slow lane must rescue
-//! coefficient systems past the machine-word boundary, and a budget axis
-//! running out must degrade to a self-describing `Unknown`.
+//! Fault-injection and runtime-limit integration tests: overflow forced
+//! through every public solve entry point must come back as a clean answer
+//! (never a panic escaping to the caller), the BigInt slow lane must rescue
+//! coefficient systems past the machine-word boundary, and every limit the
+//! one per-solve token carries — flag, deadline, memory budget, an injected
+//! cancellation — must degrade to a self-describing `Unknown` through every
+//! entry point.
 //!
 //! Injection state is process-global, so every test here takes the same
 //! lock and disarms on exit (including panicking exits, via the guard).
@@ -11,13 +13,18 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use posr_core::ast::{StringFormula, StringTerm};
+use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
+use posr_core::normal::PositionAtom;
+use posr_core::position::{solve_position, PositionOptions, PositionOutcome, PositionProblem};
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
+use posr_lia::cancel::{CANCELLED_MSG, DEADLINE_MSG};
 use posr_lia::formula::Formula;
 use posr_lia::solver::{Solver, SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, VarPool};
 use posr_lia::{CancelToken, IncrementalSolver};
+use posr_portfolio::{CdclPosStrategy, Strategy};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -47,6 +54,17 @@ fn lia_formula() -> (VarPool, Formula) {
         Formula::ge(LinExpr::var(y), LinExpr::constant(2)),
     ]);
     (pool, f)
+}
+
+/// The paper's flagship unsat instance: two `(ab)*` words of equal length
+/// are equal.  Neither sampling nor the length abstraction decides it, so
+/// every solve reaches the CEGAR loop and the CDCL(T) search.
+fn flagship() -> StringFormula {
+    StringFormula::new()
+        .in_re("x", "(ab)*")
+        .in_re("y", "(ab)*")
+        .diseq(StringTerm::var("x"), StringTerm::var("y"))
+        .len_eq("x", "y")
 }
 
 fn string_formula() -> StringFormula {
@@ -191,34 +209,6 @@ fn huge_coefficient_systems_answer_definitely_via_the_slow_lane() {
     );
 }
 
-/// A conflict budget running out degrades to `Unknown` naming the axis.
-#[test]
-fn conflict_budget_exhaustion_reports_its_axis() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let budget = Arc::new(posr_obs::Budget::unlimited().with_conflict_limit(1));
-    let token = CancelToken::new().with_budget(Arc::clone(&budget));
-    let options = SolverOptions {
-        cancel: token,
-        ..SolverOptions::default()
-    };
-    // the flagship loopy refutation needs far more than one conflict
-    let f = StringFormula::new()
-        .in_re("x", "(ab)*")
-        .in_re("y", "(ab)*")
-        .diseq(StringTerm::var("x"), StringTerm::var("y"))
-        .len_eq("x", "y");
-    match StringSolver::with_options(options).solve(&f) {
-        Answer::Unknown(reason) => {
-            assert!(
-                reason.contains(posr_obs::CONFLICT_BUDGET_MSG),
-                "reason should name the conflict axis, got: {reason}"
-            );
-        }
-        other => panic!("expected a budgeted Unknown, got {other:?}"),
-    }
-    assert!(budget.conflicts() > 1);
-}
-
 /// A memory budget running out degrades to `Unknown` naming the axis.
 #[test]
 fn memory_budget_exhaustion_reports_its_axis() {
@@ -243,4 +233,106 @@ fn memory_budget_exhaustion_reports_its_axis() {
         }
         other => panic!("expected a budgeted Unknown, got {other:?}"),
     }
+}
+
+/// An already-passed deadline answers `Unknown(DEADLINE_MSG)` through every
+/// way a caller can hand one to the solver, and a raised flag answers
+/// `Unknown(CANCELLED_MSG)`: the per-solve token is built once and reaches
+/// every layer.
+#[test]
+fn every_entry_point_reports_the_limit_that_fired() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let past = Instant::now() - Duration::from_millis(1);
+    let raised = CancelToken::new();
+    raised.cancel();
+    let unknown = |answer: Answer| match answer {
+        Answer::Unknown(reason) => reason,
+        other => panic!("expected Unknown, got {other:?}"),
+    };
+    let solve =
+        |options: SolverOptions| unknown(StringSolver::with_options(options).solve(&flagship()));
+
+    let via_deadline = solve(SolverOptions {
+        deadline: Some(past),
+        ..SolverOptions::default()
+    });
+    assert_eq!(via_deadline, DEADLINE_MSG, "SolverOptions::deadline");
+    let via_token = solve(SolverOptions {
+        cancel: CancelToken::with_deadline(past),
+        ..SolverOptions::default()
+    });
+    assert_eq!(via_token, DEADLINE_MSG, "SolverOptions::cancel");
+    let via_flag = solve(SolverOptions {
+        cancel: raised.clone(),
+        ..SolverOptions::default()
+    });
+    assert_eq!(via_flag, CANCELLED_MSG, "raised SolverOptions::cancel");
+
+    let lane = CdclPosStrategy::default();
+    let racing = unknown(lane.solve(&flagship(), &CancelToken::with_deadline(past)));
+    assert_eq!(racing, DEADLINE_MSG, "CdclPosStrategy racing token");
+    let racing_flag = unknown(lane.solve(&flagship(), &raised));
+    assert_eq!(racing_flag, CANCELLED_MSG, "CdclPosStrategy raised token");
+    // the lane's own deadline is folded in by the solver too
+    let lane_deadline = CdclPosStrategy {
+        options: SolverOptions {
+            deadline: Some(past),
+            ..SolverOptions::default()
+        },
+    };
+    let own = unknown(lane_deadline.solve(&flagship(), &CancelToken::new()));
+    assert_eq!(own, DEADLINE_MSG, "CdclPosStrategy::options.deadline");
+
+    let mut languages = BTreeMap::new();
+    for name in ["x", "y"] {
+        languages.insert(
+            name.to_string(),
+            posr_automata::Regex::parse("(ab)*").unwrap().compile(),
+        );
+    }
+    let positions = vec![PositionAtom::Diseq(
+        vec!["x".to_string()],
+        vec!["y".to_string()],
+    )];
+    let lengths = vec![(LenTerm::len("x"), LenCmp::Eq, LenTerm::len("y"))];
+    let problem = PositionProblem {
+        languages: &languages,
+        positions: &positions,
+        lengths: &lengths,
+    };
+    let position =
+        |token: &CancelToken| match solve_position(&problem, &PositionOptions::default(), token) {
+            PositionOutcome::Unknown(reason) => reason,
+            other => panic!("expected Unknown, got {other:?}"),
+        };
+    assert_eq!(
+        position(&CancelToken::with_deadline(past)),
+        DEADLINE_MSG,
+        "solve_position"
+    );
+    assert_eq!(position(&raised), CANCELLED_MSG, "raised solve_position");
+}
+
+/// An injected `Cancel` fault fires the solve's token even when the caller
+/// handed the solver no token of its own (only a deadline): the per-solve
+/// token always has a flag for the fault to raise.
+#[test]
+fn injected_cancel_fires_a_deadline_only_solve() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let injected = posr_obs::counter("fault.injected.cancel");
+    let before = injected.value();
+    posr_obs::fault::configure(0xCA9C, 1.0);
+    posr_obs::fault::set_allowed(&[posr_obs::FaultKind::Cancel]);
+    let _disarm = Disarm;
+    let options = SolverOptions {
+        deadline: Some(Instant::now() + Duration::from_secs(60)),
+        ..SolverOptions::default()
+    };
+    let answer = StringSolver::with_options(options).solve(&flagship());
+    assert_eq!(answer, Answer::Unknown(CANCELLED_MSG.to_string()));
+    assert_eq!(
+        injected.value() - before,
+        1,
+        "the first injected cancellation ends the solve"
+    );
 }

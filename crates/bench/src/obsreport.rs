@@ -1,6 +1,7 @@
 //! Renders flight-recorder artefacts into terminal tables: black-box dumps
 //! (`posr-blackbox/v1`, written by the stall watchdog), per-solve JSONL logs
-//! (`POSR_SOLVE_LOG`), and diffs of two `BENCH_lia.json` documents.  The
+//! (`POSR_SOLVE_LOG`), and diffs of two `BENCH_lia.json` documents; and
+//! gates a fresh `BENCH_lia.json` against the committed snapshot.  The
 //! `obs-report` binary is a thin CLI over these functions; they live in the
 //! library so the integration tests can drive the exact rendering code.
 
@@ -206,16 +207,8 @@ pub fn render_solve_log(text: &str) -> Result<String, String> {
 /// # Errors
 /// Returns a message when either document is not a BENCH_lia report.
 pub fn diff_bench(old_text: &str, new_text: &str) -> Result<String, String> {
-    let old = parse(old_text).map_err(|e| format!("old: {e}"))?;
-    let new = parse(new_text).map_err(|e| format!("new: {e}"))?;
-    for (side, doc) in [("old", &old), ("new", &new)] {
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-        if !schema.starts_with("posr-bench-lia/") {
-            return Err(format!(
-                "{side}: not a BENCH_lia report (schema {schema:?})"
-            ));
-        }
-    }
+    let old = parse_bench("old", old_text)?;
+    let new = parse_bench("new", new_text)?;
     let families = |doc: &Json| -> Vec<(String, f64, u64, u64)> {
         doc.get("families")
             .map(Json::items)
@@ -301,6 +294,111 @@ pub fn diff_bench(old_text: &str, new_text: &str) -> Result<String, String> {
     Ok(out)
 }
 
+/// Parses a BENCH_lia document; `side` names it in the error message.
+fn parse_bench(side: &str, text: &str) -> Result<Json, String> {
+    let doc = parse(text).map_err(|e| format!("{side}: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+    if !schema.starts_with("posr-bench-lia/") {
+        return Err(format!(
+            "{side}: not a BENCH_lia report (schema {schema:?})"
+        ));
+    }
+    Ok(doc)
+}
+
+/// The counters of a family's `full` object that [`gate_against_snapshot`]
+/// holds to their committed values.  A build computes each of them
+/// without a wall clock, so a rerun reproduces them exactly.
+const GATED_COUNTERS: [&str; 5] = [
+    "conflicts",
+    "decisions",
+    "theory_checks",
+    "simplex_pivots",
+    "row_touches",
+];
+
+/// Gates a fresh `BENCH_lia.json` against the committed snapshot.  It
+/// passes when both documents list the same families, each family pins
+/// the same expected verdict in both and the fresh run answers it, and
+/// each of the deterministic counters `conflicts`, `decisions`,
+/// `theory_checks`, `simplex_pivots` and `row_touches` equals its
+/// committed value.  A counter that fell fails too, so the snapshot
+/// cannot accumulate slack a later regression could use up: the change
+/// that lowers it re-baselines the snapshot.
+///
+/// # Errors
+/// One line per violation, each naming the family and the field; or a
+/// message when either document is not a BENCH_lia report.
+pub fn gate_against_snapshot(snapshot_text: &str, fresh_text: &str) -> Result<(), String> {
+    let snapshot = parse_bench("snapshot", snapshot_text)?;
+    let fresh = parse_bench("fresh", fresh_text)?;
+    fn families(doc: &Json) -> Vec<(&str, &Json)> {
+        doc.get("families")
+            .map(Json::items)
+            .unwrap_or_default()
+            .iter()
+            .map(|f| (f.get("name").and_then(Json::as_str).unwrap_or("?"), f))
+            .collect()
+    }
+    fn field<'a>(f: &'a Json, key: &str) -> &'a str {
+        f.get(key).and_then(Json::as_str).unwrap_or("none")
+    }
+    let old_rows = families(&snapshot);
+    let new_rows = families(&fresh);
+    let mut violations = Vec::new();
+    for &(name, old) in &old_rows {
+        let Some(&(_, new)) = new_rows.iter().find(|(n, _)| *n == name) else {
+            violations.push(format!("family {name}: name missing from the fresh run"));
+            continue;
+        };
+        let expected = field(old, "expected");
+        if expected == "none" || field(new, "expected") != expected {
+            violations.push(format!(
+                "family {name}: expected {} in the fresh run, {expected} in the snapshot",
+                field(new, "expected"),
+            ));
+        }
+        let old_full = old.get("full").unwrap_or(&Json::Null);
+        let new_full = new.get("full").unwrap_or(&Json::Null);
+        let verdict = field(new_full, "verdict");
+        if expected != "none" && verdict != expected {
+            violations.push(format!(
+                "family {name}: verdict {verdict}, expected {expected}"
+            ));
+        }
+        for counter in GATED_COUNTERS {
+            match (
+                old_full.get(counter).and_then(Json::as_u64),
+                new_full.get(counter).and_then(Json::as_u64),
+            ) {
+                (Some(committed), Some(measured)) if measured > committed => {
+                    violations.push(format!(
+                        "family {name}: {counter} {measured} exceeds the snapshot's {committed}"
+                    ));
+                }
+                (Some(committed), Some(measured)) if measured < committed => {
+                    violations.push(format!(
+                        "family {name}: {counter} {measured} fell below the snapshot's \
+                         {committed}; re-baseline the snapshot"
+                    ));
+                }
+                (Some(_), Some(_)) => {}
+                _ => violations.push(format!("family {name}: {counter} missing")),
+            }
+        }
+    }
+    for &(name, _) in &new_rows {
+        if !old_rows.iter().any(|(n, _)| *n == name) {
+            violations.push(format!("family {name}: name not in the snapshot"));
+        }
+    }
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(violations.join("\n"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,5 +445,47 @@ mod tests {
         assert!(diff.contains("(added: 2.00 ms)"));
         assert!(diff.contains("(removed)"));
         assert!(diff_bench("{}", new).is_err());
+    }
+
+    /// A two-family snapshot; `f1`'s conflicts and verdict are the knobs.
+    fn bench_doc(f1_conflicts: u64, f1_verdict: &str, extra_family: bool) -> String {
+        let family = |name: &str, conflicts: u64, verdict: &str| {
+            format!(
+                r#"{{"name":"{name}","expected":"unsat","full":{{"verdict":"{verdict}","conflicts":{conflicts},"decisions":7,"theory_checks":30,"simplex_pivots":11,"row_touches":400}}}}"#
+            )
+        };
+        let mut families = vec![
+            family("f1", f1_conflicts, f1_verdict),
+            family("f2", 3, "unsat"),
+        ];
+        if extra_family {
+            families.push(family("f3", 1, "unsat"));
+        }
+        format!(
+            r#"{{"schema":"posr-bench-lia/v4","families":[{}]}}"#,
+            families.join(",")
+        )
+    }
+
+    #[test]
+    fn gates_bench_documents_against_the_snapshot() {
+        let snapshot = bench_doc(5, "unsat", false);
+        assert_eq!(gate_against_snapshot(&snapshot, &snapshot), Ok(()));
+        let fails = |fresh: &str, family: &str, field: &str| {
+            let err = gate_against_snapshot(&snapshot, fresh).unwrap_err();
+            assert!(
+                err.contains(&format!("family {family}: {field}")),
+                "{err:?} must name family {family} and field {field}"
+            );
+        };
+        fails(&bench_doc(6, "unsat", false), "f1", "conflicts");
+        // a lowered counter fails as well: the snapshot must be re-baselined
+        fails(&bench_doc(4, "unsat", false), "f1", "conflicts");
+        fails(&bench_doc(5, "sat", false), "f1", "verdict");
+        fails(&bench_doc(5, "unsat", true), "f3", "name");
+        let missing = bench_doc(5, "unsat", true);
+        let err = gate_against_snapshot(&missing, &snapshot).unwrap_err();
+        assert!(err.contains("family f3: name missing"), "{err:?}");
+        assert!(gate_against_snapshot("{}", &snapshot).is_err());
     }
 }

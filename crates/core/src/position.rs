@@ -114,9 +114,6 @@ pub const CEGAR_ROUND_LIMIT_MSG: &str = "¬contains instantiation limit exceeded
 /// they ride on the token passed to [`solve_position`].
 #[derive(Clone, Debug, Default)]
 pub struct PositionOptions {
-    /// Configuration of the underlying LIA solver.  Its `cancel` is
-    /// replaced by the solve's token.
-    pub lia: SolverConfig,
     /// When set, the CEGAR loop turns on LIA proof logging and pushes the
     /// serialized proof of every certified Unsat into the sink — the
     /// engine behind SMT-LIB `(get-proof)`.
@@ -490,14 +487,13 @@ fn solve_with_cegar(
         automata,
         int_vars,
     } = *query;
-    // the LIA search must observe the same token the position loop polls
-    let mut lia_config = options.lia.clone();
-    lia_config.cancel = token.clone();
+    // the LIA search observes the same token the position loop polls;
     // proofs come from the persistent session's log
-    if options.proof_sink.is_some() {
-        lia_config.proof_logging = true;
-    }
-    let mut session = IncrementalSolver::with_config(lia_config);
+    let mut session = IncrementalSolver::with_config(SolverConfig {
+        cancel: token.clone(),
+        proof_logging: options.proof_sink.is_some(),
+        ..SolverConfig::default()
+    });
     session.assert_formula(&base_formula);
     let mut cuts = 0usize;
     let mut rounds = 0usize;

@@ -97,7 +97,7 @@ impl Answer {
 /// [`posr_lia::cdcl::MAX_CONFLICTS`] per solve call.
 #[derive(Clone, Debug, Default)]
 pub struct SolverOptions {
-    /// Options of the position procedure (LIA toggles, proof sink).
+    /// Options of the position procedure (the proof sink).
     pub position: PositionOptions,
     /// Optional wall-clock deadline for the whole query.
     pub deadline: Option<Instant>,

@@ -25,7 +25,8 @@
 //! assumptions.
 //!
 //! The theory side is as incremental as the Boolean side (the full
-//! DPLL(T) architecture of Dutertre & de Moura):
+//! DPLL(T) architecture of Dutertre & de Moura).  It has one
+//! configuration: every mechanism below always runs.
 //!
 //! * every assigned theory literal contributes one bound constraint (both
 //!   polarities are exact over ℤ, see [`crate::cnf`]);
@@ -46,8 +47,12 @@
 //!   enqueues every entailed literal with a *lazy* explanation — the
 //!   entailing bound core is only materialised if conflict analysis later
 //!   resolves on the literal — so bound/parity conflicts are cut off
-//!   levels early instead of being rediscovered as full conflicts
-//!   (`SolverConfig::theory_propagation`, on by default);
+//!   levels early instead of being rediscovered as full conflicts;
+//! * at the propagation fixpoint before each decision, an
+//!   **assignment-guided** scan runs a pivot-budgeted check of the
+//!   persistent tableau below and, when it is feasible, enqueues the
+//!   multi-variable atoms its rows entail (the ones the interval scan
+//!   cannot see) through the same lazy-explanation path;
 //! * at the leaves (a full assignment, or every original clause already
 //!   satisfied) a **persistent, backtrackable simplex**
 //!   ([`crate::simplex::IncrementalSimplex`]) re-checks rational
@@ -669,29 +674,16 @@ impl Engine {
             let neg = constraint_of_meaning(meaning, false);
             // register the atom once: pre-compile both polarities against
             // the persistent tableau (creating the owning column/slack)
-            // and index the atom for theory propagation — each gated on
-            // its switch so the oracle/baseline configurations measure
-            // the genuine PR-4 path, not registration they never use
-            if self.config.incremental_simplex {
-                let pos_prep = pos.as_ref().map(|c| self.simplex.prepare(c));
-                let neg_prep = neg.as_ref().map(|c| self.simplex.prepare(c));
-                if self.config.theory_propagation {
-                    self.register_guided(Lit::positive(var), pos_prep.as_ref());
-                    self.register_guided(Lit::negative(var), neg_prep.as_ref());
-                }
-                self.lit_prepared.push(pos_prep);
-                self.lit_prepared.push(neg_prep);
-            } else {
-                self.lit_prepared.push(None);
-                self.lit_prepared.push(None);
-            }
-            if self.config.theory_propagation {
-                if let Some(meaning) = meaning {
-                    self.atom_table.register(var, meaning);
-                }
-            }
-            if let Some(p) = &mut self.proof {
-                if let Some(meaning) = meaning {
+            // and index the atom for both theory-propagation scans
+            let pos_prep = pos.as_ref().map(|c| self.simplex.prepare(c));
+            let neg_prep = neg.as_ref().map(|c| self.simplex.prepare(c));
+            self.register_guided(Lit::positive(var), pos_prep.as_ref());
+            self.register_guided(Lit::negative(var), neg_prep.as_ref());
+            self.lit_prepared.push(pos_prep);
+            self.lit_prepared.push(neg_prep);
+            if let Some(meaning) = meaning {
+                self.atom_table.register(var, meaning);
+                if let Some(p) = &mut self.proof {
                     p.atom(var, meaning);
                 }
             }
@@ -1037,12 +1029,7 @@ impl Engine {
     /// bound assertions, usually zero pivots), and a conflict it finds
     /// here is one the leaf would otherwise rediscover a subtree later.
     fn guided_step(&mut self) -> Step {
-        if !self.config.guided_propagation
-            || !self.config.incremental_simplex
-            || !self.config.theory_propagation
-            || self.guided.is_empty()
-            || self.theory_stack.len() <= self.simplex_checked
-        {
+        if self.guided.is_empty() || self.theory_stack.len() <= self.simplex_checked {
             return Step::Ok;
         }
         // the bounds asserted since the last sync are what can move an
@@ -1122,26 +1109,14 @@ impl Engine {
         if self.theory_stack.len() <= self.simplex_checked {
             return Some(Step::Ok);
         }
-        if !self.config.incremental_simplex {
-            return Some(self.simplex_check());
-        }
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
         let t0 = std::time::Instant::now();
         let pivots_before = self.simplex.pivots();
-        let mut outcome = Some(Ok(()));
-        for i in self.simplex.num_asserted()..self.theory_stack.len() {
-            let prepared = self.lit_prepared[self.theory_lits[i].code()]
-                .clone()
-                .expect("theory literals are registered at grow_theory");
-            if let Err(core) = self.simplex.assert_prepared(&prepared, i as u32) {
-                outcome = Some(Err(core));
-                break;
-            }
-        }
-        if let Some(Ok(())) = outcome {
-            outcome = self.simplex.check_budgeted(max_pivots);
-        }
+        let outcome = match self.sync_simplex_bounds() {
+            Ok(()) => self.simplex.check_budgeted(max_pivots),
+            Err(core) => Some(Err(core)),
+        };
         self.simplex_time += t0.elapsed();
         HIST_CHECK_PIVOTS.record(self.simplex.pivots().saturating_sub(pivots_before));
         match outcome {
@@ -1261,7 +1236,7 @@ impl Engine {
     /// so whole refutation subtrees are skipped instead of being
     /// re-learned clause by clause.
     fn theory_propagate(&mut self, changed: &[Var]) {
-        if !self.config.theory_propagation || changed.is_empty() {
+        if changed.is_empty() {
             return;
         }
         self.atom_table.cur_stamp += 1;
@@ -1453,14 +1428,17 @@ impl Engine {
     /// refutation's explanation is the Farkas certificate of the stuck
     /// tableau row — already irreducible, no minimisation loop needed.
     ///
-    /// The default path runs on the engine's *persistent* tableau: the
-    /// literals asserted since the last check are synced as O(1) bound
-    /// assertions (their atoms were registered at [`Engine::grow_theory`])
-    /// and the pivot loop warm-starts from the previous basis, so a
-    /// re-check after a handful of new bounds costs a few pivots instead
-    /// of a full from-scratch solve.  `incremental_simplex: false`
-    /// reconstructs a tableau per check — the differential oracle and the
-    /// ablation baseline.
+    /// The check runs on the engine's *persistent* tableau: the literals
+    /// asserted since the last check are synced as O(1) bound assertions
+    /// (their atoms were registered at [`Engine::grow_theory`]) and the
+    /// pivot loop warm-starts from the previous basis, so a re-check after
+    /// a handful of new bounds costs a few pivots instead of a full
+    /// from-scratch solve.
+    ///
+    /// The pivot loop runs in [`LEAF_CANCEL_SLICE`]-sized budget slices
+    /// with a cancellation poll between them — on big tableaux a single
+    /// check can pivot for seconds, far past the search loop's per-
+    /// iteration poll.
     fn simplex_check(&mut self) -> Step {
         if self.theory_stack.len() <= self.simplex_checked {
             return Step::Ok;
@@ -1468,20 +1446,23 @@ impl Engine {
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
         let t0 = std::time::Instant::now();
-        // the scope sees every tableau this thread pivots (persistent or
-        // scratch), so its delta is the per-check pivot count either way
-        let pivots_before = self.pivot_scope.get(crate::simplex::obs_pivot_counter());
-        let outcome = if self.config.incremental_simplex {
-            self.incremental_simplex_check()
-        } else {
-            self.scratch_simplex_check()
+        let pivots_before = self.simplex.pivots();
+        let outcome = match self.sync_simplex_bounds() {
+            Ok(()) => loop {
+                if let Some(result) = self.simplex.check_budgeted(LEAF_CANCEL_SLICE) {
+                    break Some(result);
+                }
+                // a single check can pivot for seconds: keep the watchdog's
+                // pivot gauge moving between search-loop iterations
+                PROGRESS_PIVOTS.set(crate::simplex::obs_pivot_counter().value());
+                if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
+                    break None;
+                }
+            },
+            Err(core) => Some(Err(core)),
         };
         self.simplex_time += t0.elapsed();
-        HIST_CHECK_PIVOTS.record(
-            self.pivot_scope
-                .get(crate::simplex::obs_pivot_counter())
-                .saturating_sub(pivots_before),
-        );
+        HIST_CHECK_PIVOTS.record(self.simplex.pivots().saturating_sub(pivots_before));
         match outcome {
             Some(Ok(())) => {
                 self.simplex_checked = self.theory_stack.len();
@@ -1493,68 +1474,30 @@ impl Engine {
                 Step::Conflict(conflict, pid)
             }
             None => {
-                // cancelled mid-check: `simplex_checked` stays behind the
-                // stack so nothing counts as verified, and the caller must
-                // consult `self.cancelled` before trusting the `Ok`
+                // cancelled mid-check: the tableau is left consistent
+                // mid-repair (a budget-exhausted check always is), the
+                // remaining violations stay queued, `simplex_checked` stays
+                // behind the stack so nothing counts as verified, and the
+                // caller must consult `self.cancelled` before trusting the
+                // `Ok`
                 self.cancelled = true;
                 Step::Ok
             }
         }
     }
 
-    /// Sync-and-check on the persistent tableau.  Assertion tags are
-    /// theory-stack indices, so both the O(1) clash cores of the sync and
-    /// the Farkas cores of the pivot loop index asserted literals.
-    ///
-    /// The pivot loop runs in [`LEAF_CANCEL_SLICE`]-sized budget slices
-    /// with a cancellation poll between them — on big tableaux a single
-    /// check can pivot for seconds, far past the search loop's per-
-    /// iteration poll.  `None` means cancelled: the tableau is left
-    /// consistent mid-repair (a budget-exhausted check always is) and the
-    /// remaining violations stay queued for whoever checks next.
-    fn incremental_simplex_check(&mut self) -> Option<Result<(), Vec<u32>>> {
+    /// Syncs the literals asserted since the last sync into the persistent
+    /// tableau as bound assertions.  Assertion tags are theory-stack
+    /// indices, so both an O(1) clash core returned here and the Farkas
+    /// cores of the later pivot loop index asserted literals.
+    fn sync_simplex_bounds(&mut self) -> Result<(), Vec<u32>> {
         for i in self.simplex.num_asserted()..self.theory_stack.len() {
             let prepared = self.lit_prepared[self.theory_lits[i].code()]
                 .clone()
                 .expect("theory literals are registered at grow_theory");
-            if let Err(core) = self.simplex.assert_prepared(&prepared, i as u32) {
-                return Some(Err(core));
-            }
+            self.simplex.assert_prepared(&prepared, i as u32)?;
         }
-        loop {
-            if let Some(result) = self.simplex.check_budgeted(LEAF_CANCEL_SLICE) {
-                return Some(result);
-            }
-            // a single check can pivot for seconds: keep the watchdog's
-            // pivot gauge moving between search-loop iterations
-            PROGRESS_PIVOTS.set(crate::simplex::obs_pivot_counter().value());
-            if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
-                return None;
-            }
-        }
-    }
-
-    /// The PR-4 baseline: a fresh tableau per check (kept as a
-    /// differential oracle; also what the ablation's incremental-vs-scratch
-    /// pivot comparison runs against).  Sliced against cancellation like
-    /// [`Engine::incremental_simplex_check`]; the abandoned tableau is
-    /// simply dropped.
-    fn scratch_simplex_check(&mut self) -> Option<Result<(), Vec<u32>>> {
-        let mut simplex = IncrementalSimplex::new();
-        for (i, c) in self.theory_stack.iter().enumerate() {
-            if let Err(core) = simplex.assert_constraint(c, i as u32) {
-                return Some(Err(core));
-            }
-        }
-        loop {
-            if let Some(result) = simplex.check_budgeted(LEAF_CANCEL_SLICE) {
-                return Some(result);
-            }
-            PROGRESS_PIVOTS.set(crate::simplex::obs_pivot_counter().value());
-            if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
-                return None;
-            }
-        }
+        Ok(())
     }
 
     /// The conflicting-clause form of a theory core: negations of the
@@ -2637,39 +2580,26 @@ mod tests {
 
     #[test]
     fn reduce_db_keeps_verdicts_and_drops_clauses() {
-        // an unsat pigeonhole instance learns clauses on the way to the
-        // refutation; re-solving under a tiny learnt cap fires the
-        // between-solve GC, and the verdict must stay Unsat throughout
+        // pigeonhole: seven pairwise-distinct integers in [0, 5].  Its
+        // refutation takes well over one restart interval of conflicts,
+        // so under a tiny learnt cap the restart GC fires, and the
+        // verdict must stay Unsat throughout
         let mut pool = VarPool::new();
-        let vars: Vec<_> = (0..12).map(|i| pool.fresh(&format!("x{i}"))).collect();
+        let vars: Vec<_> = (0..7).map(|i| pool.fresh(&format!("p{i}"))).collect();
         let mut conjuncts = Vec::new();
         for &v in &vars {
-            conjuncts.push(Formula::or(vec![
-                Formula::eq(LinExpr::var(v), LinExpr::constant(0)),
-                Formula::eq(LinExpr::var(v), LinExpr::constant(1)),
-                Formula::eq(LinExpr::var(v), LinExpr::constant(2)),
-            ]));
+            conjuncts.push(Formula::ge(LinExpr::var(v), LinExpr::constant(0)));
+            conjuncts.push(Formula::le(LinExpr::var(v), LinExpr::constant(5)));
         }
-        // pairwise-coupled sums keep the per-conflict clauses long enough
-        // that the GC's binary exemption does not protect everything
-        for w in vars.windows(4) {
-            conjuncts.push(Formula::le(
-                LinExpr::sum_of_vars(w.iter().copied()),
-                LinExpr::constant(5),
-            ));
+        for (i, &v) in vars.iter().enumerate() {
+            for &w in &vars[i + 1..] {
+                conjuncts.push(Formula::ne(LinExpr::var(v), LinExpr::var(w)));
+            }
         }
-        conjuncts.push(Formula::ge(
-            LinExpr::sum_of_vars(vars.iter().copied()),
-            LinExpr::constant(19),
-        ));
         let f = Formula::and(conjuncts);
         let cnf = crate::cnf::Clausifier::clausify(&f.nnf().simplify());
         let config = SolverConfig {
             learnt_cap: 1,
-            // theory propagation refutes this family in so few conflicts
-            // that no restart (hence no in-search GC) ever fires; this
-            // test targets the GC, so keep the conflict-driven dynamics
-            theory_propagation: false,
             ..SolverConfig::default()
         };
         let mut engine = engine_for(cnf, config);

@@ -56,13 +56,11 @@
 //! assert!(solver.solve().is_sat());
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use crate::cdcl::{Engine, SolverStats};
 use crate::cnf::{BoolVar, Clausifier, Lit, LitOrConst};
 use crate::formula::Formula;
-use crate::rational::OVERFLOW_MSG;
-use crate::solver::{SolverConfig, SolverResult};
+use crate::rational::{catch_overflow, OVERFLOW_UNKNOWN};
+use crate::solver::{SolverConfig, SolverResult, QUANTIFIERS_MSG};
 
 /// A persistent CDCL(T) session over a growing formula.
 pub struct IncrementalSolver {
@@ -91,8 +89,8 @@ impl IncrementalSolver {
     }
 
     /// A session with an explicit configuration (the cancellation token
-    /// carrying the runtime limits, the learned-clause cap, proof logging,
-    /// the theory toggles).  The conflict cap is
+    /// carrying the runtime limits, the learned-clause cap, proof
+    /// logging).  The conflict cap is
     /// [`crate::cdcl::MAX_CONFLICTS`] per `solve` call.
     pub fn with_config(config: SolverConfig) -> IncrementalSolver {
         IncrementalSolver {
@@ -169,35 +167,19 @@ impl IncrementalSolver {
     /// the assumptions* and retracts nothing.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SolverResult {
         if self.saw_quantifier {
-            return SolverResult::Unknown("formula contains quantifiers".to_string());
+            return SolverResult::Unknown(QUANTIFIERS_MSG.to_string());
         }
         if self.poisoned {
-            return SolverResult::Unknown("arithmetic overflow in theory solver".to_string());
+            return SolverResult::Unknown(OVERFLOW_UNKNOWN.to_string());
         }
         let mut all: Vec<Lit> = self.frames.iter().map(|&s| Lit::positive(s)).collect();
         all.extend_from_slice(assumptions);
-        let engine = &mut self.engine;
-        let result = catch_unwind(AssertUnwindSafe(|| engine.solve(&all)));
-        match result {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("panic");
-                if msg.contains(OVERFLOW_MSG) {
-                    // the unwind left trail/environment in an arbitrary
-                    // state: refuse to reuse the session
-                    self.poisoned = true;
-                    SolverResult::Unknown("arithmetic overflow in theory solver".to_string())
-                } else {
-                    // re-raise unrelated panics: they indicate bugs, not
-                    // resource limits
-                    std::panic::panic_any(msg.to_string())
-                }
-            }
-        }
+        catch_overflow(|| self.engine.solve(&all)).unwrap_or_else(|reason| {
+            // the unwind left trail/environment in an arbitrary state:
+            // refuse to reuse the session
+            self.poisoned = true;
+            SolverResult::Unknown(reason)
+        })
     }
 
     /// Cumulative engine counters for the whole session (conflicts,

@@ -13,11 +13,10 @@
 //! [`SolverResult::Unknown`].
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cancel::CancelToken;
 use crate::formula::Formula;
-use crate::rational::OVERFLOW_MSG;
+use crate::rational::catch_overflow;
 use crate::term::Var;
 
 /// An integer model: a total assignment of the formula's variables
@@ -86,36 +85,16 @@ impl SolverResult {
     }
 }
 
-/// Tuning knobs of the solver.
+/// The solver's settings: the learned-clause cap, proof logging and the
+/// solve's runtime limits.  The theory side has no switches: interval
+/// theory propagation, the persistent simplex and the assignment-guided
+/// scans of [`crate::cdcl`] always run.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     /// Live learned clauses beyond which the CDCL engine's LBD-ranked GC
     /// fires (at restarts and between incremental solves); the threshold
     /// then grows geometrically.
     pub learnt_cap: usize,
-    /// Theory propagation in the CDCL engine: after each bound fixpoint,
-    /// literals entailed by the current intervals are enqueued (with lazy
-    /// explanations) instead of being rediscovered as conflicts.  On by
-    /// default; the off setting is kept as a differential oracle.
-    pub theory_propagation: bool,
-    /// Persistent Dutertre–de Moura tableau for the CDCL engine's leaf
-    /// feasibility checks (atoms registered once, O(1) backtrackable bound
-    /// assertions, warm-started pivoting).  On by default; off rebuilds a
-    /// tableau per leaf check — the PR-4 behaviour of *this* path, kept
-    /// as a differential oracle and as the ablation baseline.  The switch
-    /// governs only the engine's rational leaf checks: branch-and-bound
-    /// ([`crate::intfeas`]) always runs its own incremental tableau.
-    pub incremental_simplex: bool,
-    /// Assignment-guided theory propagation in the CDCL engine: at the
-    /// propagation fixpoint before each decision, a pivot-budgeted check of
-    /// the persistent tableau runs eagerly and, when feasible, the bounds
-    /// its rows imply are scanned for entailed multi-variable atoms (the
-    /// ones the interval fixpoint cannot see), which are enqueued through
-    /// the lazy-explanation path.  On by default; requires
-    /// `incremental_simplex` and `theory_propagation`.  Off is the
-    /// ablation baseline isolating the tableau-layout win from the
-    /// propagation win.
-    pub guided_propagation: bool,
     /// Record a replayable proof of every Unsat answer into a
     /// [`crate::proof::ProofBuilder`]: root clauses, theory lemmas with
     /// arithmetic certificates, and the RUP hint chain of every learned
@@ -136,9 +115,6 @@ impl Default for SolverConfig {
             // far above what one query learns; long incremental sessions
             // are what the GC exists for
             learnt_cap: 8_000,
-            theory_propagation: true,
-            incremental_simplex: true,
-            guided_propagation: true,
             proof_logging: false,
             cancel: CancelToken::none(),
         }
@@ -180,33 +156,25 @@ impl Solver {
     }
 }
 
+/// The `Unknown` reason of a solve whose input has quantifiers (the
+/// `¬contains` front end in `posr-core` instantiates them first).
+pub const QUANTIFIERS_MSG: &str = "formula contains quantifiers";
+
 /// Runs `search` on the simplified negation normal form of a
-/// quantifier-free formula.  Quantified input yields `Unknown`, and so does
-/// an arithmetic overflow inside the theory solver; unrelated panics are
-/// re-raised, since they indicate bugs rather than resource limits.
+/// quantifier-free formula.  Quantified input yields
+/// `Unknown(`[`QUANTIFIERS_MSG`]`)`, and an arithmetic overflow inside the
+/// theory solver `Unknown(`[`crate::rational::OVERFLOW_UNKNOWN`]`)` via
+/// [`catch_overflow`], which re-raises unrelated panics: they indicate
+/// bugs rather than resource limits.
 pub(crate) fn solve_guarded(
     formula: &Formula,
     search: impl FnOnce(&Formula) -> SolverResult,
 ) -> SolverResult {
     if !formula.is_quantifier_free() {
-        return SolverResult::Unknown("formula contains quantifiers".to_string());
+        return SolverResult::Unknown(QUANTIFIERS_MSG.to_string());
     }
     let nnf = formula.nnf().simplify();
-    match catch_unwind(AssertUnwindSafe(|| search(&nnf))) {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("panic");
-            if msg.contains(OVERFLOW_MSG) {
-                SolverResult::Unknown("arithmetic overflow in theory solver".to_string())
-            } else {
-                std::panic::panic_any(msg.to_string())
-            }
-        }
-    }
+    catch_overflow(|| search(&nnf)).unwrap_or_else(SolverResult::Unknown)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use posr_lia::formula::{Cmp, Formula};
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{Solver, SolverConfig, SolverResult};
+use posr_lia::solver::{Solver, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 
 /// A tiny deterministic xorshift generator: no external crates, stable
@@ -209,35 +209,31 @@ fn interleaved_root_assertions_and_frames() {
 
 #[test]
 fn resolve_after_blocking_cut_retains_learned_clauses() {
-    // a 0/1 system whose first solve necessarily learns clauses; blocking
-    // the found model (a CEGAR-style cut) and re-solving must carry the
-    // learned clauses into the re-solve — stats-based, no timing.
-    // Theory propagation decides this family without a single conflict
-    // (nothing to learn, nothing to retain), so it is pinned off: the
-    // test targets clause retention, not the propagator.
+    // eight queens (one column variable per row, pairwise distinct columns
+    // and diagonals): its first solve already learns clauses, and blocking
+    // each found model (a CEGAR-style cut) and re-solving must carry the
+    // learned clauses into the re-solve — stats-based, no timing.  92
+    // solutions leave room for every cut.
+    let n = 8;
     let mut pool = VarPool::new();
-    let vars: Vec<Var> = (0..8).map(|i| pool.fresh(&format!("b{i}"))).collect();
-    let mut session = IncrementalSolver::with_config(SolverConfig {
-        theory_propagation: false,
-        ..SolverConfig::default()
-    });
+    let vars: Vec<Var> = (0..n).map(|i| pool.fresh(&format!("q{i}"))).collect();
+    let mut session = IncrementalSolver::new();
     for &v in &vars {
-        session.assert_formula(&Formula::or(vec![
-            Formula::eq(LinExpr::var(v), LinExpr::constant(0)),
-            Formula::eq(LinExpr::var(v), LinExpr::constant(1)),
-        ]));
-    }
-    // couple the variables so pure propagation cannot finish the job
-    for w in vars.windows(3) {
+        session.assert_formula(&Formula::ge(LinExpr::var(v), LinExpr::constant(0)));
         session.assert_formula(&Formula::le(
-            LinExpr::sum_of_vars(w.iter().copied()),
-            LinExpr::constant(2),
+            LinExpr::var(v),
+            LinExpr::constant(n as i128 - 1),
         ));
     }
-    session.assert_formula(&Formula::ge(
-        LinExpr::sum_of_vars(vars.iter().copied()),
-        LinExpr::constant(5),
-    ));
+    for i in 0..n {
+        for j in i + 1..n {
+            let (qi, qj) = (LinExpr::var(vars[i]), LinExpr::var(vars[j]));
+            let gap = LinExpr::constant((j - i) as i128);
+            session.assert_formula(&Formula::ne(qi.clone(), qj.clone()));
+            session.assert_formula(&Formula::ne(qi.clone() - qj.clone(), gap.clone()));
+            session.assert_formula(&Formula::ne(qj - qi, gap));
+        }
+    }
 
     let mut blocked = 0usize;
     loop {
